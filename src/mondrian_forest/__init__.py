@@ -62,16 +62,12 @@ from .forest import (
 from .leaf_fit import LeafFitResult, fit_leaf, golden_section_min
 from .losses import LossSpec, default_value_box, loss_eval
 from .partition import (
-    LeafNode,
     PartitionTree,
-    SplitNode,
     cell_of,
     leaf_count_at,
     leaves_at,
     locate,
     locate_batch,
-    partition_from_text,
-    partition_to_text,
     sample_partition,
     split_times,
 )

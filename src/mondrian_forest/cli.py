@@ -22,12 +22,13 @@ from .core import (
     ResourceError,
     ValueBox,
     load_dataset_csv,
+    read_csv_columns,
     save_dataset_csv,
+    tree_streams,
 )
 from .density import (
     density_eval_batch,
     fit_density_forest,
-    load_density_model,
     save_density_model,
 )
 from .forest import (
@@ -110,23 +111,10 @@ def _read_raw_points(path: str, clamp_points: bool) -> np.ndarray:
     """Read query points; with clamping, project coordinates onto [0,1] first."""
     if not clamp_points:
         return load_dataset_csv(path).points
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = lines[0].split(",")
-    d = len(header) - (1 if header[-1] == "y" else 0)
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")[:d]
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise InputError(f"{path}: non-numeric field") from exc
-    pts = np.asarray(rows, dtype=float) if rows else np.empty((0, d))
-    if not np.all(np.isfinite(pts)):
+    points, _ = read_csv_columns(path)
+    if not np.all(np.isfinite(points)):
         raise InputError(f"{path}: non-finite coordinates")
-    return np.clip(pts, 0.0, 1.0)
+    return np.clip(points, 0.0, 1.0)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -190,7 +178,7 @@ def _cmd_select_lambda(args: argparse.Namespace) -> int:
     box = parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
     lam_max = args.lambda_max if args.lambda_max is not None else \
         default_lambda_max(data.n, data.dimension)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+    rng = tree_streams(args.seed, 1)[0]
     partition = sample_partition(data.dimension, lam_max, rng,
                                  stream_id=f"{args.seed}/0")
     path = penalty_path(partition, data, spec, box, args.alpha)

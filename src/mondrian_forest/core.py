@@ -220,6 +220,16 @@ class FitConfig:
             raise InputError("leaf_cap must be >= 1")
 
 
+def tree_streams(seed: int, tree_count: int) -> list[np.random.Generator]:
+    """Independent per-tree generators derived from one master seed.
+
+    Substreams are spawned from a single seed sequence, so tree ``b`` sees
+    the same randomness no matter how many trees run or in what order.
+    """
+    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
+    return [np.random.default_rng(child) for child in children]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable sample of points in [0,1]^d with an optional response column."""
@@ -280,8 +290,8 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv` (header required)."""
+def read_csv_columns(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Points and responses of an ``x1,...,xd[,y]`` CSV file, not yet validated."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -302,8 +312,12 @@ def load_dataset_csv(path) -> Dataset:
         except ValueError as exc:
             raise InputError(f"{path}: non-numeric field in row {ln!r}") from exc
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    points = data[:, :d]
-    responses = data[:, d] if has_response else None
+    return data[:, :d], (data[:, d] if has_response else None)
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Read a dataset written by :func:`save_dataset_csv` (header required)."""
+    points, responses = read_csv_columns(path)
     try:
         return Dataset(points=points, responses=responses)
     except InputError as exc:

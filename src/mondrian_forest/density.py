@@ -20,36 +20,35 @@ and renormalized into a density.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import (
     DEFAULT_LEAF_CAP,
-    Cell,
     InputError,
     NumericError,
     ValueBox,
     as_point,
     as_points,
-    volume,
+    tree_streams,
 )
 from .partition import (
     PartitionTree,
-    leaves_at,
+    leaf_bounds,
+    load_model,
     locate_batch,
-    partition_from_obj,
-    partition_to_obj,
     sample_partition,
+    save_model,
+    tree_from_obj,
+    tree_to_obj,
 )
 
 DEFAULT_GRID_POINTS = 2**15
 
-SERIAL_FORMAT = "mondrian-density-v1"
+SERIAL_FORMAT = "mondrian-density-v2"
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,12 @@ class DensityModel:
         return self.trees[0].partition.dimension
 
 
+def leaf_volumes(partition: PartitionTree, lam: float) -> np.ndarray:
+    """Volumes of the time-``lam`` leaf cells, in leaf-id order."""
+    lo, hi = leaf_bounds(partition, lam)
+    return np.prod(hi - lo, axis=1)
+
+
 def fit_density_tree(partition: PartitionTree, lam: float, xs,
                      box: ValueBox) -> np.ndarray:
     """Per-leaf heights minimizing the penalized likelihood objective.
@@ -90,19 +95,13 @@ def fit_density_tree(partition: PartitionTree, lam: float, xs,
     Returned heights are NOT recentered; apply :func:`recenter`.
     """
     points = as_points(xs, dimension=partition.dimension)
-    cells = leaves_at(partition, lam)
-    vols = np.array([volume(c) for c in cells])
+    vols = leaf_volumes(partition, lam)
     if np.any(vols <= 0.0):
         raise NumericError("partition has a zero-volume leaf")
     n = points.shape[0]
-    leaf_count = len(cells)
-    counts = np.zeros(leaf_count, dtype=np.int64)
-    if n:
-        ids = locate_batch(partition, lam, points)
-        counts = np.bincount(ids, minlength=leaf_count)
-
     if n == 0:
-        return np.full(leaf_count, box.lo)
+        return np.full(vols.shape[0], box.lo)
+    counts = np.bincount(locate_batch(partition, lam, points), minlength=vols.shape[0])
 
     # unit-mass stationary point, clamped into the box
     with np.errstate(divide="ignore"):
@@ -204,12 +203,12 @@ def density_objective(heights, counts, vols, n: int) -> float:
     return float(-np.dot(h, counts) / n + math.log(np.dot(vols, np.exp(h))))
 
 
-def recenter(heights, cells: Sequence[Cell]) -> np.ndarray:
-    """Subtract the integral so the piecewise-constant function has mean zero."""
+def recenter(heights, vols) -> np.ndarray:
+    """Subtract the integral over leaves of volumes ``vols``, leaving mean zero."""
     h = np.asarray(heights, dtype=float)
-    vols = np.array([volume(c) for c in cells])
-    if len(cells) != h.shape[0]:
-        raise InputError("heights and cells have mismatched lengths")
+    vols = np.asarray(vols, dtype=float)
+    if vols.shape != h.shape:
+        raise InputError("heights and leaf volumes have mismatched lengths")
     return h - float(np.dot(vols, h))
 
 
@@ -222,13 +221,12 @@ def _ensemble_log_heights(trees: Sequence[DensityTree], points: np.ndarray) -> n
 
 
 def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
-    """Sorted union of all trees' 1-d cell boundaries, including 0 and 1."""
-    edges = {0.0, 1.0}
+    """Sorted union of all 1-d trees' cell boundaries: 0, 1 and the thresholds in use."""
+    edges = [np.array([0.0, 1.0])]
     for tree in trees:
-        for cell in leaves_at(tree.partition, tree.lam):
-            edges.add(cell.lo[0])
-            edges.add(cell.hi[0])
-    return np.array(sorted(edges))
+        born = tree.partition.birth_time <= tree.lam
+        edges.append(tree.partition.threshold[born])
+    return np.unique(np.concatenate(edges))
 
 
 def log_normalizer_for(trees: Sequence[DensityTree],
@@ -243,6 +241,7 @@ def log_normalizer_for(trees: Sequence[DensityTree],
         widths = np.diff(edges)
         h_bar = _ensemble_log_heights(trees, mids.reshape(-1, 1))
         return float(math.log(np.dot(widths, np.exp(h_bar))))
+    from scipy.stats import qmc  # slow to import; only this branch needs it
     sampler = qmc.Sobol(d=dimension, scramble=True,
                         seed=np.random.default_rng(integration.seed))
     exponent = int(round(math.log2(integration.point_count)))
@@ -268,14 +267,12 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
     if tree_count < 1:
         raise InputError("tree_count must be >= 1")
     dimension = points.shape[1]
-    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
     trees = []
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for b, rng in enumerate(tree_streams(seed, tree_count)):
         partition = sample_partition(dimension, lam, rng, leaf_cap=leaf_cap,
                                      stream_id=f"{seed}/{b}")
         heights = fit_density_tree(partition, lam, points, box)
-        heights = recenter(heights, leaves_at(partition, lam))
+        heights = recenter(heights, leaf_volumes(partition, lam))
         trees.append(DensityTree(partition=partition, lam=lam, heights=heights))
     if dimension == 1:
         integration: ExactOverlay | GridMC = ExactOverlay()
@@ -307,24 +304,16 @@ def density_model_to_obj(model: DensityModel) -> dict:
     return {
         "format": SERIAL_FORMAT,
         "dimension": model.dimension,
-        "tree_count": len(model.trees),
         "log_normalizer": model.log_normalizer,
         "integration": integration_obj,
-        "trees": [
-            {
-                "lambda": tree.lam,
-                "heights": [float(h) for h in tree.heights],
-                "partition": partition_to_obj(tree.partition),
-            }
-            for tree in model.trees
-        ],
+        "trees": [tree_to_obj(tree.partition, tree.lam, tree.heights)
+                  for tree in model.trees],
     }
 
 
 def density_model_from_obj(obj: dict) -> DensityModel:
+    """Read :func:`density_model_to_obj` output; heights and ln Z must be finite."""
     try:
-        if obj["format"] != SERIAL_FORMAT:
-            raise InputError(f"unknown density model format {obj.get('format')!r}")
         integ_obj = obj["integration"]
         if integ_obj["method"] == "overlay":
             integration: ExactOverlay | GridMC = ExactOverlay()
@@ -333,30 +322,24 @@ def density_model_from_obj(obj: dict) -> DensityModel:
                                  seed=int(integ_obj["seed"]))
         else:
             raise InputError(f"unknown integration method {integ_obj['method']!r}")
-        trees = tuple(
-            DensityTree(
-                partition=partition_from_obj(t["partition"]),
-                lam=float(t["lambda"]),
-                heights=np.asarray(t["heights"], dtype=float),
-            )
-            for t in obj["trees"]
-        )
-        return DensityModel(trees=trees,
-                            log_normalizer=float(obj["log_normalizer"]),
-                            integration=integration)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed density model object: {exc}") from exc
+        log_z = float(obj["log_normalizer"])
+        dimension = int(obj["dimension"])
+        tree_objs = list(obj["trees"])
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed density model object: {exc!r}") from exc
+    if not math.isfinite(log_z):
+        raise InputError("density log normalizer must be finite")
+    if not tree_objs:
+        raise InputError("density model has no trees")
+    trees = tuple(DensityTree(*tree_from_obj(t, dimension)) for t in tree_objs)
+    return DensityModel(trees=trees, log_normalizer=log_z, integration=integration)
 
 
 def save_density_model(model: DensityModel, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(density_model_to_obj(model), indent=1) + "\n")
+    save_model(density_model_to_obj(model), path)
 
 
 def load_density_model(path) -> DensityModel:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.loads(fh.read())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed density model: {exc}") from exc
-    return density_model_from_obj(obj)
+    return density_model_from_obj(load_model(path, SERIAL_FORMAT))

@@ -15,7 +15,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError
+from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError, tree_streams
 from .core import diameter as cell_diameter
 from .forest import Forest, fit_forest, predict_batch
 from .losses import LossSpec, default_value_box
@@ -205,10 +205,8 @@ def partition_stats(dimension: int, lam: float, tree_count: int,
     center = np.full(dimension, 0.5)
     counts = np.empty(tree_count)
     diams = np.empty(tree_count)
-    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
-    for b, child in enumerate(children):
-        tree = sample_partition(dimension, lam, np.random.default_rng(child),
-                                stream_id=f"{seed}/{b}")
+    for b, rng in enumerate(tree_streams(seed, tree_count)):
+        tree = sample_partition(dimension, lam, rng, stream_id=f"{seed}/{b}")
         counts[b] = leaf_count_at(tree, lam)
         diams[b] = cell_diameter(cell_of(tree, lam, center))
     def se(v: np.ndarray) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +15,15 @@ from .core import (
     ValueBox,
     as_point,
     as_points,
+    tree_streams,
 )
 from .losses import LossSpec, is_surrogate
-from .partition import partition_from_obj, partition_to_obj, sample_partition
+from .partition import load_model, sample_partition, save_model, tree_from_obj, tree_to_obj
 from .tree import FittedTree, fit_tree, predict_tree_batch
 
 DEFAULT_TREE_COUNT = 100
 
-SERIAL_FORMAT = "mondrian-forest-v1"
+SERIAL_FORMAT = "mondrian-forest-v2"
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,6 @@ class Forest:
     @property
     def dimension(self) -> int:
         return self.trees[0].partition.dimension
-
-
-def tree_streams(seed: int, tree_count: int) -> list[np.random.Generator]:
-    """Independent per-tree generators derived from one master seed.
-
-    Substreams are spawned from a single seed sequence, so tree ``b`` sees
-    the same randomness no matter how many trees run or in what order.
-    """
-    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
-    return [np.random.default_rng(child) for child in children]
 
 
 def fit_forest(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
@@ -119,27 +109,21 @@ def forest_to_obj(forest: Forest) -> dict:
     return {
         "format": SERIAL_FORMAT,
         "dimension": forest.dimension,
-        "tree_count": cfg.tree_count,
         "loss": _spec_to_obj(forest.spec),
         "box": [cfg.value_box.lo, cfg.value_box.hi],
         "seed": cfg.seed,
         "leaf_cap": cfg.leaf_cap,
         "lambda_mode": mode_obj,
-        "trees": [
-            {
-                "lambda": tree.lam,
-                "leaf_values": [float(v) for v in tree.leaf_values],
-                "partition": partition_to_obj(tree.partition),
-            }
-            for tree in forest.trees
-        ],
+        "trees": [tree_to_obj(tree.partition, tree.lam, tree.leaf_values)
+                  for tree in forest.trees],
     }
 
 
 def forest_from_obj(obj: dict) -> Forest:
+    """Read :func:`forest_to_obj` output; every leaf value must lie in the box."""
     try:
-        if obj["format"] != SERIAL_FORMAT:
-            raise InputError(f"unknown forest format {obj.get('format')!r}")
+        dimension = int(obj["dimension"])
+        tree_objs = list(obj["trees"])
         spec = _spec_from_obj(obj["loss"])
         box = ValueBox(float(obj["box"][0]), float(obj["box"][1]))
         mode_obj = obj["lambda_mode"]
@@ -150,42 +134,20 @@ def forest_from_obj(obj: dict) -> Forest:
         else:
             raise InputError(f"unknown lambda mode {mode_obj['mode']!r}")
         config = FitConfig(
-            tree_count=int(obj["tree_count"]), lambda_mode=mode, value_box=box,
+            tree_count=len(tree_objs), lambda_mode=mode, value_box=box,
             seed=int(obj["seed"]), leaf_cap=int(obj["leaf_cap"]))
-        trees = []
-        for tree_obj in obj["trees"]:
-            partition = partition_from_obj(tree_obj["partition"])
-            trees.append(FittedTree(
-                partition=partition,
-                lam=float(tree_obj["lambda"]),
-                leaf_values=np.asarray(tree_obj["leaf_values"], dtype=float),
-                loss=spec,
-                box=box,
-            ))
-        if len(trees) != config.tree_count:
-            raise InputError("tree count does not match header")
-        return Forest(trees=tuple(trees), spec=spec, config=config)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed forest object: {exc}") from exc
-
-
-def forest_to_text(forest: Forest) -> str:
-    return json.dumps(forest_to_obj(forest), indent=1)
-
-
-def forest_from_text(text: str) -> Forest:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed forest text: {exc}") from exc
-    return forest_from_obj(obj)
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
+        raise InputError(f"malformed forest object: {exc!r}") from exc
+    trees = tuple(FittedTree(*tree_from_obj(t, dimension, box), loss=spec, box=box)
+                  for t in tree_objs)
+    return Forest(trees=trees, spec=spec, config=config)
 
 
 def save_forest(forest: Forest, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(forest_to_text(forest) + "\n")
+    save_model(forest_to_obj(forest), path)
 
 
 def load_forest(path) -> Forest:
-    with open(path, "r", encoding="ascii") as fh:
-        return forest_from_text(fh.read())
+    return forest_from_obj(load_model(path, SERIAL_FORMAT))

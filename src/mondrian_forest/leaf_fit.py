@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import InputError, NumericError, ValueBox, clamp
-from .losses import LossSpec, loss_eval, validate_responses
+from .losses import LossSpec, check_values, loss_eval, loss_values, validate_responses
 
 CLOSED_FORM = "closed_form"
 SOLVER = "solver"
@@ -132,8 +132,10 @@ def fit_leaf(spec: LossSpec, ys, box: ValueBox) -> LeafFitResult:
         value = _closed_form(spec, arr, box)
         method = CLOSED_FORM
         if value is None:
+            # value domains are intervals: the box's ends stand for every z
+            check_values(spec, np.array([box.lo, box.hi]))
             value = golden_section_min(
-                lambda z: float(np.sum(loss_eval(spec, z, arr))), box)
+                lambda z: float(np.sum(loss_values(spec, z, arr))), box)
             method = SOLVER
     achieved = float(np.sum(loss_eval(spec, value, arr)))
     if not math.isfinite(achieved):

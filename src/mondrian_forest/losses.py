@@ -63,10 +63,6 @@ class LossSpec:
         if self.value_domain is not None and not isinstance(self.value_domain, ValueBox):
             raise InputError("value_domain must be a ValueBox")
 
-    def with_domain(self, box: ValueBox) -> "LossSpec":
-        return LossSpec(family=self.family, tau=self.tau, delta=self.delta,
-                        value_domain=box)
-
 
 def is_surrogate(spec: LossSpec) -> bool:
     return spec.family in SURROGATE_FAMILIES
@@ -95,7 +91,8 @@ def validate_responses(spec: LossSpec, ys) -> np.ndarray:
     return arr
 
 
-def _check_values(spec: LossSpec, v: np.ndarray) -> None:
+def check_values(spec: LossSpec, v: np.ndarray) -> None:
+    """Check that candidate values lie in the family's and the spec's value domain."""
     if not np.all(np.isfinite(v)):
         raise InputError("loss evaluated at non-finite value")
     fam = spec.family
@@ -111,15 +108,16 @@ def _check_values(spec: LossSpec, v: np.ndarray) -> None:
 
 
 def _phi(k: int, u: np.ndarray) -> np.ndarray:
+    """Surrogate cost at ``u = -y*v``, minus the margin."""
     if k == 1:
         return (1.0 + u) ** 2
     if k == 2:
-        return np.maximum(1.0 - u, 0.0)
+        return np.maximum(1.0 + u, 0.0)
     if k == 3:
-        return np.where(u <= 0.0, 0.5 - u,
-                        np.where(u <= 1.0, 0.5 * (1.0 - u) ** 2, 0.0))
+        return np.where(u >= 0.0, 0.5 + u,
+                        np.where(u >= -1.0, 0.5 * (1.0 + u) ** 2, 0.0))
     if k == 4:
-        return np.maximum(1.0 - u, 0.0) ** 2
+        return np.maximum(1.0 + u, 0.0) ** 2
     if k == 5:
         return np.logaddexp(0.0, u) / LN2
     if k == 6:
@@ -134,7 +132,7 @@ def loss_eval(spec: LossSpec, v, y=None):
     back. The density pseudo-loss ignores ``y`` entirely.
     """
     v_arr = np.asarray(v, dtype=float)
-    _check_values(spec, np.atleast_1d(v_arr))
+    check_values(spec, np.atleast_1d(v_arr))
     fam = spec.family
     if fam == "density":
         # the pseudo-loss is -v for every observation; broadcasting against
@@ -152,38 +150,42 @@ def loss_eval(spec: LossSpec, v, y=None):
         raise InputError(f"family {fam!r} requires a response")
     y_arr = np.asarray(y, dtype=float)
     validate_responses(spec, np.atleast_1d(y_arr))
-
-    # overflow here is deliberate: non-finite results become NumericError
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if fam == "squared":
-            out = (v_arr - y_arr) ** 2
-        elif fam == "pinball":
-            u = y_arr - v_arr
-            out = (spec.tau - (u < 0.0)) * u
-        elif fam == "huber":
-            r = np.abs(v_arr - y_arr)
-            out = np.where(r <= spec.delta, 0.5 * r**2,
-                           spec.delta * (r - 0.5 * spec.delta))
-        elif fam == "gaussian":
-            out = -v_arr * y_arr + 0.5 * v_arr**2
-        elif fam == "poisson":
-            out = -v_arr * y_arr + np.exp(v_arr)
-        elif fam == "bernoulli":
-            b = np.log(0.5 + v_arr) - np.log(0.5 - v_arr)
-            d = -np.log(0.5 - v_arr)
-            out = -b * y_arr + d
-        elif fam == "geometric":
-            out = -v_arr * y_arr - np.log(np.expm1(-v_arr))
-        elif fam in SURROGATE_FAMILIES:
-            out = _phi(int(fam[3]), -y_arr * v_arr)
-        else:  # unreachable: families validated at construction
-            raise InputError(f"unknown loss family {fam!r}")
-
+    out = loss_values(spec, v_arr, y_arr)
     if not np.all(np.isfinite(np.atleast_1d(out))):
         raise NumericError(f"{fam} loss evaluated to a non-finite value")
     if (np.isscalar(v) or v_arr.ndim == 0) and (np.isscalar(y) or y_arr.ndim == 0):
         return float(out)
     return out
+
+
+def loss_values(spec: LossSpec, v, y: np.ndarray) -> np.ndarray:
+    """The loss of a supervised family with no checks; :func:`loss_eval` checks."""
+    fam = spec.family
+    # overflow here is deliberate: non-finite results become NumericError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if fam == "squared":
+            return (v - y) ** 2
+        if fam == "pinball":
+            u = y - v
+            return (spec.tau - (u < 0.0)) * u
+        if fam == "huber":
+            r = np.abs(v - y)
+            return np.where(r <= spec.delta, 0.5 * r**2,
+                            spec.delta * (r - 0.5 * spec.delta))
+        if fam == "gaussian":
+            return -v * y + 0.5 * v**2
+        if fam == "poisson":
+            return -v * y + np.exp(v)
+        if fam == "bernoulli":
+            b = np.log(0.5 + v) - np.log(0.5 - v)
+            d = -np.log(0.5 - v)
+            return -b * y + d
+        if fam == "geometric":
+            return -v * y - np.log(np.expm1(-v))
+        if fam in SURROGATE_FAMILIES:
+            return _phi(int(fam[3]), -y * v)
+    # unreachable: families validated at construction
+    raise InputError(f"unknown loss family {fam!r}")
 
 
 def default_value_box(spec: LossSpec, n: int) -> ValueBox:

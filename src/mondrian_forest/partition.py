@@ -9,16 +9,22 @@ birth time. The tree records the full genealogy up to the horizon, so the
 coarser partition at any earlier time ``lam <= horizon`` can be read off by
 ignoring splits born after ``lam``.
 
+A genealogy is held as flat arrays over its nodes (see :class:`PartitionTree`);
+cells are derived from them only when asked for.
+
 Threshold ownership is half-open and matches :func:`mondrian_forest.core.contains`:
 the left child is ``[lo, S)`` and the right child ``[S, hi]`` along the
 split dimension.
+
+The module also holds the codec of the model files: one JSON object per
+file, and per tree ``{lambda, values, partition}`` with the arrays flat.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator, Union
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,37 +34,23 @@ from .core import (
     InputError,
     NumericError,
     ResourceError,
+    ValueBox,
     as_point,
     as_points,
     contains,
-    linear_size,
-    unit_cell,
 )
 
-SERIAL_FORMAT = "mondrian-partition-v1"
 
-
-@dataclass(frozen=True)
-class LeafNode:
-    cell: Cell
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    cell: Cell
-    birth_time: float  # time at which this cell split
-    split_dim: int
-    threshold: float
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[LeafNode, SplitNode]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionTree:
-    """A sampled partition genealogy up to ``horizon``.
+    """A partition genealogy up to ``horizon``, as arrays over its nodes in pre-order.
+
+    ``split_dim`` is -1 at a leaf, whose ``threshold`` is NaN and whose
+    ``birth_time`` is infinite. The left child of split ``i`` is node
+    ``i + 1``; its right child ``right[i]`` is derived from ``split_dim``.
+    Construction checks that the arrays form a genealogy: split dimensions
+    in ``[0, d)``, every threshold inside its node's cell, and split birth
+    times in ``[0, horizon]``, never decreasing down a path.
 
     ``stream_id`` names the random stream that produced the tree, so a fit
     can be reproduced from its serialized header alone.
@@ -66,56 +58,80 @@ class PartitionTree:
 
     dimension: int
     horizon: float
-    root: Node
+    split_dim: np.ndarray
+    threshold: np.ndarray
+    birth_time: np.ndarray
     stream_id: str
+    right: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("split_dim", np.int64), ("threshold", float),
+                            ("birth_time", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        dims, births = self.split_dim, self.birth_time
+        if not (self.dimension >= 1 and 0.0 <= self.horizon < math.inf):
+            raise InputError("partition needs dimension >= 1 and a finite horizon >= 0")
+        if self.threshold.shape != dims.shape or births.shape != dims.shape:
+            raise InputError("partition node arrays have mismatched lengths")
+        if np.any((dims < -1) | (dims >= self.dimension)):
+            raise InputError(f"split dimension outside [0, {self.dimension})")
+        object.__setattr__(self, "right", _right_children(dims))
+        splits = dims >= 0
+        if not np.all(np.where(splits, (births >= 0.0) & (births <= self.horizon),
+                               births == math.inf)):
+            raise InputError("split birth times must lie in [0, horizon]")
+        parents = np.flatnonzero(splits)
+        if np.any(births[parents + 1] < births[parents]) or \
+                np.any(births[self.right[parents]] < births[parents]):
+            raise InputError("split birth times decrease down a path")
+        _node_bounds(self)  # checks each threshold against its node's cell
 
 
-def sample_split(cell: Cell, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw a split (dimension, threshold) for ``cell``.
+def _right_children(split_dim: np.ndarray) -> np.ndarray:
+    """Right-child index of every split of a pre-order node sequence, -1 at leaves."""
+    # with s splits and s + 1 leaves, the sequence is a tree unless it ends early
+    n = split_dim.size
+    if split_dim.ndim != 1 or n != 2 * int(np.count_nonzero(split_dim >= 0)) + 1:
+        raise InputError("partition nodes do not form a binary tree")
+    right = np.full(n, -1, dtype=np.int64)
+    awaiting_right: list[int] = []
+    for i, dim in enumerate(split_dim.tolist()):
+        if dim >= 0:
+            awaiting_right.append(i)
+        elif awaiting_right:
+            right[awaiting_right.pop()] = i + 1
+        elif i != n - 1:
+            raise InputError("partition nodes do not form a binary tree")
+    right.flags.writeable = False
+    return right
+
+
+def sample_split(lo, hi, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw a split (dimension, threshold) for the cell with bounds ``lo``, ``hi``.
 
     The dimension is chosen with probability proportional to its side
     length and the threshold uniformly inside the chosen side (endpoints
     excluded, redrawing on the measure-zero collisions).
     """
-    sides = cell.side_lengths()
+    sides = np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)
     total = float(sides.sum())
     if total <= 0.0:
         raise NumericError("cannot split a degenerate cell")
     u = rng.uniform(0.0, total)
     acc = 0.0
-    dim = cell.dimension - 1
+    dim = len(sides) - 1
     for j, s in enumerate(sides):
         acc += float(s)
         if u < acc:
             dim = j
             break
-    lo, hi = cell.lo[dim], cell.hi[dim]
-    threshold = rng.uniform(lo, hi)
-    while threshold <= lo or threshold >= hi:
-        threshold = rng.uniform(lo, hi)
+    a, b = lo[dim], hi[dim]
+    threshold = rng.uniform(a, b)
+    while threshold <= a or threshold >= b:
+        threshold = rng.uniform(a, b)
     return dim, float(threshold)
-
-
-def _grow(cell: Cell, tau: float, horizon: float, rng: np.random.Generator,
-          leaf_cap: int, counter: list[int]) -> Node:
-    size = linear_size(cell)
-    if size > 0.0:
-        wait = rng.exponential(1.0 / size)
-    else:
-        wait = np.inf
-    birth = tau + wait
-    if birth > horizon:
-        counter[0] += 1
-        if counter[0] > leaf_cap:
-            raise ResourceError(f"partition exceeded leaf cap {leaf_cap}")
-        return LeafNode(cell=cell)
-    dim, threshold = sample_split(cell, rng)
-    left_cell = Cell(lo=cell.lo, hi=cell.hi[:dim] + (threshold,) + cell.hi[dim + 1:])
-    right_cell = Cell(lo=cell.lo[:dim] + (threshold,) + cell.lo[dim + 1:], hi=cell.hi)
-    left = _grow(left_cell, birth, horizon, rng, leaf_cap, counter)
-    right = _grow(right_cell, birth, horizon, rng, leaf_cap, counter)
-    return SplitNode(cell=cell, birth_time=birth, split_dim=dim,
-                     threshold=threshold, left=left, right=right)
 
 
 def sample_partition(dimension: int, horizon: float,
@@ -128,178 +144,222 @@ def sample_partition(dimension: int, horizon: float,
     leaves is capped at ``leaf_cap``; exceeding it aborts with
     :class:`ResourceError` rather than consuming unbounded memory.
     """
-    if dimension < 1:
-        raise InputError("dimension must be >= 1")
     if not np.isfinite(horizon) or horizon < 0.0:
         raise InputError("horizon must be finite and >= 0")
     if isinstance(rng, (int, np.integer)):
         if stream_id is None:
             stream_id = str(int(rng))
         rng = np.random.default_rng(int(rng))
-    if stream_id is None:
-        stream_id = "anonymous"
-    counter = [0]
-    root = _grow(unit_cell(dimension), 0.0, horizon, rng, leaf_cap, counter)
-    return PartitionTree(dimension=dimension, horizon=horizon, root=root,
-                         stream_id=stream_id)
+    nodes: list[tuple[int, float, float]] = []  # (split_dim, threshold, birth_time)
+    leaves = 0
+    # draws in pre-order: a node's wait, its split, its left subtree, its right
+    # one; the stack holds (lo, hi, birth time) of the cells still to visit
+    stack = [((0.0,) * dimension, (1.0,) * dimension, 0.0)]
+    while stack:
+        lo, hi, tau = stack.pop()
+        size = float(sum(b - a for a, b in zip(lo, hi)))
+        birth = tau + rng.exponential(1.0 / size) if size > 0.0 else math.inf
+        if birth > horizon:
+            leaves += 1
+            if leaves > leaf_cap:
+                raise ResourceError(f"partition exceeded leaf cap {leaf_cap}")
+            nodes.append((-1, math.nan, math.inf))
+            continue
+        dim, threshold = sample_split(lo, hi, rng)
+        nodes.append((dim, threshold, birth))
+        stack.append((lo[:dim] + (threshold,) + lo[dim + 1:], hi, birth))
+        stack.append((lo, hi[:dim] + (threshold,) + hi[dim + 1:], birth))
+    dims, thresholds, births = zip(*nodes)
+    return PartitionTree(dimension=dimension, horizon=float(horizon), split_dim=dims,
+                         threshold=thresholds, birth_time=births,
+                         stream_id="anonymous" if stream_id is None else stream_id)
 
 
 def _check_lambda(tree: PartitionTree, lam: float) -> float:
-    if not np.isfinite(lam) or lam < 0.0:
-        raise InputError("lambda must be finite and >= 0")
-    if lam > tree.horizon:
-        raise InputError(f"lambda {lam} exceeds tree horizon {tree.horizon}")
+    if not 0.0 <= lam <= tree.horizon:
+        raise InputError(f"lambda {lam} is outside [0, tree horizon {tree.horizon}]")
     return float(lam)
 
 
-def _active(node: Node, lam: float) -> bool:
-    return isinstance(node, SplitNode) and node.birth_time <= lam
+def leaf_nodes(tree: PartitionTree, lam: float) -> np.ndarray:
+    """Node of each leaf id of the time-``lam`` partition (leaves in pre-order).
+
+    Birth times never decrease down a path, so the leaves are the nodes not
+    split by ``lam`` whose parent is.
+    """
+    split = tree.birth_time <= _check_lambda(tree, lam)
+    parents = np.flatnonzero(tree.split_dim >= 0)
+    reached = np.ones(tree.split_dim.shape[0], dtype=bool)
+    reached[parents + 1] = split[parents]
+    reached[tree.right[parents]] = split[parents]
+    return np.flatnonzero(reached & ~split)
 
 
-def _iter_leaves(node: Node, lam: float) -> Iterator[Cell]:
-    if _active(node, lam):
-        yield from _iter_leaves(node.left, lam)
-        yield from _iter_leaves(node.right, lam)
-    else:
-        yield node.cell
+def leaf_count_at(tree: PartitionTree, lam: float) -> int:
+    """Every split born by ``lam`` adds one leaf to the root cell."""
+    return 1 + int(np.count_nonzero(tree.birth_time <= _check_lambda(tree, lam)))
+
+
+def _node_bounds(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of every node's cell, as (nodes, d) arrays."""
+    lo = np.zeros((tree.split_dim.shape[0], tree.dimension))
+    hi = np.ones_like(lo)
+    for i, (j, t, r) in enumerate(zip(tree.split_dim.tolist(), tree.threshold.tolist(),
+                                      tree.right.tolist())):
+        if j < 0:
+            continue
+        if not lo[i, j] <= t <= hi[i, j]:
+            raise InputError("split threshold outside its node's cell")
+        lo[i + 1], hi[i + 1], lo[r], hi[r] = lo[i], hi[i], lo[i], hi[i]
+        hi[i + 1, j] = lo[r, j] = t
+    return lo, hi
+
+
+def leaf_bounds(tree: PartitionTree, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the time-``lam`` leaf cells, as (leaves, d) arrays in leaf-id order."""
+    nodes = leaf_nodes(tree, lam)
+    lo, hi = _node_bounds(tree)
+    return lo[nodes], hi[nodes]
 
 
 def leaves_at(tree: PartitionTree, lam: float) -> list[Cell]:
     """Leaf cells of the partition at time ``lam``, in stable pre-order."""
-    lam = _check_lambda(tree, lam)
-    return list(_iter_leaves(tree.root, lam))
-
-
-def leaf_count_at(tree: PartitionTree, lam: float) -> int:
-    return len(leaves_at(tree, lam))
+    lo, hi = leaf_bounds(tree, lam)
+    return [Cell(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def split_times(tree: PartitionTree) -> list[float]:
     """Sorted birth times of all splits in the genealogy (empty if none)."""
-    times: list[float] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SplitNode):
-            times.append(node.birth_time)
-            stack.append(node.left)
-            stack.append(node.right)
-    times.sort()
-    return times
+    return sorted(tree.birth_time[tree.split_dim >= 0].tolist())
 
 
 def locate(tree: PartitionTree, lam: float, x) -> int:
     """Pre-order index of the leaf of the time-``lam`` partition containing ``x``."""
-    lam = _check_lambda(tree, lam)
     point = as_point(x, dimension=tree.dimension)
-    node = tree.root
-    index = 0
-    while _active(node, lam):
-        if point[node.split_dim] < node.threshold:
-            node = node.left
-        else:
-            index += sum(1 for _ in _iter_leaves(node.left, lam))
-            node = node.right
-    return index
+    return int(locate_batch(tree, lam, point.reshape(1, -1))[0])
 
 
 def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
-    """Vectorized :func:`locate`; returns an int array of leaf indices."""
+    """Vectorized :func:`locate`; returns an int array of leaf indices.
+
+    Each split partitions its points in one comparison and hands each half
+    to its child. An empty half is not followed, so one point costs one
+    root-to-leaf path.
+    """
     lam = _check_lambda(tree, lam)
     points = as_points(xs, dimension=tree.dimension)
+    leaf_id = np.full(tree.split_dim.shape[0], -1, dtype=np.int64)
+    nodes = leaf_nodes(tree, lam)
+    leaf_id[nodes] = np.arange(nodes.shape[0])
     out = np.empty(points.shape[0], dtype=np.int64)
-    next_id = [0]
 
-    def assign(node: Node, idx: np.ndarray) -> None:
-        if _active(node, lam):
-            go_left = points[idx, node.split_dim] < node.threshold
-            assign(node.left, idx[go_left])
-            assign(node.right, idx[~go_left])
-        else:
-            out[idx] = next_id[0]
-            next_id[0] += 1
+    def assign(node: int, idx: np.ndarray) -> None:
+        if leaf_id[node] >= 0:
+            out[idx] = leaf_id[node]
+            return
+        go_left = points[idx, tree.split_dim[node]] < tree.threshold[node]
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        if left_idx.size:
+            assign(node + 1, left_idx)
+        if right_idx.size:
+            assign(tree.right[node], right_idx)
 
-    assign(tree.root, np.arange(points.shape[0]))
+    if points.shape[0]:
+        assign(0, np.arange(points.shape[0]))
     return out
 
 
 def cell_of(tree: PartitionTree, lam: float, x) -> Cell:
     """The leaf cell of the time-``lam`` partition containing ``x``."""
-    lam = _check_lambda(tree, lam)
-    point = as_point(x, dimension=tree.dimension)
-    node = tree.root
-    while _active(node, lam):
-        node = node.left if point[node.split_dim] < node.threshold else node.right
-    if not contains(node.cell, point):
+    lo, hi = leaf_bounds(tree, lam)
+    k = locate(tree, lam, x)
+    cell = Cell(lo=tuple(lo[k].tolist()), hi=tuple(hi[k].tolist()))
+    if not contains(cell, x):
         raise NumericError("descent reached a cell that does not contain the point")
-    return node.cell
-
-
-def _node_to_obj(node: Node) -> dict:
-    if isinstance(node, SplitNode):
-        return {
-            "dim": node.split_dim,
-            "threshold": node.threshold,
-            "birth_time": node.birth_time,
-            "left": _node_to_obj(node.left),
-            "right": _node_to_obj(node.right),
-        }
-    return {"lo": list(node.cell.lo), "hi": list(node.cell.hi)}
-
-
-def _node_from_obj(obj: dict, cell: Cell) -> Node:
-    if "dim" in obj:
-        dim = int(obj["dim"])
-        threshold = float(obj["threshold"])
-        if not 0 <= dim < cell.dimension:
-            raise InputError(f"split dimension {dim} out of range")
-        left_cell = Cell(lo=cell.lo, hi=cell.hi[:dim] + (threshold,) + cell.hi[dim + 1:])
-        right_cell = Cell(lo=cell.lo[:dim] + (threshold,) + cell.lo[dim + 1:], hi=cell.hi)
-        return SplitNode(
-            cell=cell,
-            birth_time=float(obj["birth_time"]),
-            split_dim=dim,
-            threshold=threshold,
-            left=_node_from_obj(obj["left"], left_cell),
-            right=_node_from_obj(obj["right"], right_cell),
-        )
-    leaf_cell = Cell(lo=tuple(float(v) for v in obj["lo"]),
-                     hi=tuple(float(v) for v in obj["hi"]))
-    if leaf_cell != cell:
-        raise InputError("serialized leaf cell does not match its genealogy")
-    return LeafNode(cell=leaf_cell)
+    return cell
 
 
 def partition_to_obj(tree: PartitionTree) -> dict:
+    """The genealogy's arrays; thresholds and birth times of splits only."""
+    splits = tree.split_dim >= 0
     return {
-        "format": SERIAL_FORMAT,
         "dimension": tree.dimension,
         "horizon": tree.horizon,
         "stream_id": tree.stream_id,
-        "root": _node_to_obj(tree.root),
+        "split_dim": tree.split_dim.tolist(),
+        "threshold": tree.threshold[splits].tolist(),
+        "birth_time": tree.birth_time[splits].tolist(),
     }
 
 
 def partition_from_obj(obj: dict) -> PartitionTree:
+    """Read :func:`partition_to_obj` output; the constructor checks the genealogy."""
     try:
-        if obj["format"] != SERIAL_FORMAT:
-            raise InputError(f"unknown partition format {obj.get('format')!r}")
-        dimension = int(obj["dimension"])
-        root = _node_from_obj(obj["root"], unit_cell(dimension))
-        return PartitionTree(dimension=dimension, horizon=float(obj["horizon"]),
-                             root=root, stream_id=str(obj["stream_id"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed partition object: {exc}") from exc
+        dims = np.asarray(obj["split_dim"])
+        if dims.ndim != 1 or dims.dtype.kind not in "iu":
+            raise TypeError("split dimensions must be a list of integers")
+        splits = dims >= 0
+        threshold = np.full(dims.shape, math.nan)
+        birth_time = np.full(dims.shape, math.inf)
+        for full, key in ((threshold, "threshold"), (birth_time, "birth_time")):
+            values = np.asarray(obj[key], dtype=float)
+            if values.shape != (int(splits.sum()),):
+                raise ValueError(f"{key} needs one entry per split")
+            full[splits] = values
+        return PartitionTree(dimension=int(obj["dimension"]), horizon=float(obj["horizon"]),
+                             split_dim=dims, threshold=threshold, birth_time=birth_time,
+                             stream_id=str(obj["stream_id"]))
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed partition object: {exc!r}") from exc
 
 
-def partition_to_text(tree: PartitionTree) -> str:
-    """Serialize to text; floats round-trip exactly."""
-    return json.dumps(partition_to_obj(tree), indent=1)
+def tree_to_obj(partition: PartitionTree, lam: float, values) -> dict:
+    """One fitted tree: its horizon, a value per leaf at that horizon, its genealogy."""
+    return {
+        "lambda": float(lam),
+        "values": np.asarray(values, dtype=float).tolist(),
+        "partition": partition_to_obj(partition),
+    }
 
 
-def partition_from_text(text: str) -> PartitionTree:
+def tree_from_obj(obj: dict, dimension: int,
+                  box: ValueBox | None = None) -> tuple[PartitionTree, float, np.ndarray]:
+    """Read :func:`tree_to_obj` output as (partition, lambda, values), checking
+    that there is one finite value per leaf at ``lambda``, inside ``box`` if given."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed partition text: {exc}") from exc
-    return partition_from_obj(obj)
+        partition_obj = obj["partition"]
+        lam = float(obj["lambda"])
+        values = np.asarray(obj["values"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed tree object: {exc!r}") from exc
+    partition = partition_from_obj(partition_obj)
+    if partition.dimension != dimension:
+        raise InputError(f"tree dimension {partition.dimension} is not the model's {dimension}")
+    leaf_count = leaf_count_at(partition, lam)
+    if values.shape != (leaf_count,):
+        raise InputError(f"tree has {values.size} values for {leaf_count} leaves")
+    if not np.all(np.isfinite(values)) or (box is not None and not box.holds(values)):
+        raise InputError("tree values must be finite and inside the value box")
+    values.flags.writeable = False
+    return partition, lam, values
+
+
+def save_model(obj: dict, path) -> None:
+    """Write a model object as one line of ASCII JSON; floats round-trip exactly."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def load_model(path, fmt: str) -> dict:
+    """Read a :func:`save_model` file whose ``format`` field is ``fmt``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            obj = json.loads(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: malformed {fmt} file: {exc}") from exc
+    found = obj.get("format") if isinstance(obj, dict) else None
+    if found != fmt:
+        raise InputError(f"{path}: expected format {fmt!r}, found {found!r}")
+    return obj

@@ -23,11 +23,12 @@ from .core import (
     InputError,
     ResourceError,
     ValueBox,
+    tree_streams,
 )
-from .forest import Forest, tree_streams
+from .forest import Forest
 from .leaf_fit import fit_leaf
 from .losses import LossSpec
-from .partition import PartitionTree, SplitNode, sample_partition
+from .partition import PartitionTree, sample_partition
 from .tree import FittedTree, fit_tree
 
 DEFAULT_ALPHA = 0.1
@@ -66,34 +67,25 @@ def penalty_path(partition: PartitionTree, data: Dataset, spec: LossSpec,
         raise InputError("penalty path is defined for supervised families")
     ys = data.require_responses()
 
-    events: list[SplitNode] = []
-    stack = [partition.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SplitNode):
-            events.append(node)
-            stack.append(node.left)
-            stack.append(node.right)
-    events.sort(key=lambda nd: nd.birth_time)
+    splits = np.flatnonzero(partition.split_dim >= 0)
+    # a parent is born no later than its children and precedes them in pre-order
+    events = splits[np.argsort(partition.birth_time[splits], kind="stable")]
 
-    # per-active-leaf state: point indices and summed leaf loss
-    all_idx = np.arange(data.n)
-    member: dict[int, np.ndarray] = {id(partition.root): all_idx}
-    loss_sum: dict[int, float] = {
-        id(partition.root): fit_leaf(spec, ys, box).achieved_loss}
+    # per-active-leaf state, keyed by node: point indices and summed leaf loss
+    member: dict[int, np.ndarray] = {0: np.arange(data.n)}
+    loss_sum: dict[int, float] = {0: fit_leaf(spec, ys, box).achieved_loss}
 
     breakpoints = [0.0]
     risks = [sum(loss_sum.values()) / data.n]
-    for node in events:
-        idx = member.pop(id(node))
-        loss_sum.pop(id(node))
-        go_left = data.points[idx, node.split_dim] < node.threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        member[id(node.left)] = left_idx
-        member[id(node.right)] = right_idx
-        loss_sum[id(node.left)] = fit_leaf(spec, ys[left_idx], box).achieved_loss
-        loss_sum[id(node.right)] = fit_leaf(spec, ys[right_idx], box).achieved_loss
-        breakpoints.append(node.birth_time)
+    for node in events.tolist():
+        idx = member.pop(node)
+        loss_sum.pop(node)
+        go_left = data.points[idx, partition.split_dim[node]] < partition.threshold[node]
+        left, right = node + 1, int(partition.right[node])
+        member[left], member[right] = idx[go_left], idx[~go_left]
+        loss_sum[left] = fit_leaf(spec, ys[member[left]], box).achieved_loss
+        loss_sum[right] = fit_leaf(spec, ys[member[right]], box).achieved_loss
+        breakpoints.append(float(partition.birth_time[node]))
         risks.append(sum(loss_sum.values()) / data.n)
 
     bp = np.asarray(breakpoints)

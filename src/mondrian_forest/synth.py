@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import Dataset, InputError, as_points
 
@@ -188,5 +187,6 @@ def true_excess_risk(task: str, predictions, xs, target: TargetFunction,
     if task == "quantile":
         if tau is None:
             raise InputError("quantile task requires tau")
+        from scipy.stats import norm  # slow to import; only quantile truth needs it
         truth = truth + sigma * float(norm.ppf(tau))
     return float(np.mean((preds - truth) ** 2))

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, ValueBox, as_point, as_points
+from .core import Dataset, InputError, ValueBox, as_points
 from .leaf_fit import fit_leaf
 from .losses import LossSpec, loss_eval
-from .partition import PartitionTree, leaves_at, locate_batch
+from .partition import PartitionTree, leaf_count_at, locate, locate_batch
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
         raise InputError(
             f"data dimension {data.dimension} does not match partition "
             f"dimension {partition.dimension}")
-    leaf_count = len(leaves_at(partition, lam))
+    leaf_count = leaf_count_at(partition, lam)
     if data.n == 0:
         values = np.full(leaf_count, box.clip(0.0))
     else:
@@ -58,9 +58,7 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
 
 
 def predict_tree(tree: FittedTree, x) -> float:
-    point = as_point(x, dimension=tree.partition.dimension)
-    ids = locate_batch(tree.partition, tree.lam, point.reshape(1, -1))
-    return float(tree.leaf_values[ids[0]])
+    return float(tree.leaf_values[locate(tree.partition, tree.lam, x)])
 
 
 def predict_tree_batch(tree: FittedTree, xs) -> np.ndarray:

@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import json
+import math
+import os
 import subprocess
 import sys
 
@@ -114,6 +117,11 @@ def test_predict_clamp(tmp_path):
     _, rows = read_csv_rows(out)
     xs = [float(r[0]) for r in rows]
     assert xs == [0.0, 0.5, 1.0]
+    # clamping projects coordinates but still checks the file's shape
+    for text in ("z1\n0.5\n", "x1\n0.5,0.5\n0.5\n"):
+        query.write_text(text)
+        assert main(["predict", "--model", str(model), "--input", str(query),
+                     "--clamp", "--out", str(out)]) == 2
 
 
 def test_classify_flow(tmp_path):
@@ -280,3 +288,90 @@ def test_module_entrypoint_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "density" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, mondrian_forest; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=os.environ.copy())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _first_tree(model):
+    return model["trees"][0], model["trees"][0]["partition"]
+
+
+def _second_threshold_outside_its_cell(model):
+    # the second split is the root's left child [0, t) when node 1 splits,
+    # else its right child [t, 1]; move its threshold into the sibling cell
+    _, part = _first_tree(model)
+    t = part["threshold"][0]
+    part["threshold"][1] = (t + 1.0) / 2.0 if part["split_dim"][1] >= 0 else t / 2.0
+    return model
+
+
+def _edit(fn):
+    def mutate(model):
+        fn(*_first_tree(model))
+        return model
+    return mutate
+
+
+MALFORMED_MODELS = [
+    ("forest", "v1 format", lambda m: {**m, "format": "mondrian-forest-v1"}),
+    ("forest", "values cut short", _edit(lambda t, p: t.update(values=t["values"][:-1]))),
+    ("forest", "one value too many", _edit(lambda t, p: t["values"].append(0.0))),
+    ("forest", "value outside the box", _edit(lambda t, p: t["values"].__setitem__(0, 1e300))),
+    ("forest", "value not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.nan))),
+    ("forest", "values not numbers", _edit(lambda t, p: t.update(values="abc"))),
+    ("forest", "lambda above the horizon", _edit(lambda t, p: t.update({"lambda": p["horizon"] + 1.0}))),
+    ("forest", "split dimension out of range", _edit(lambda t, p: p["split_dim"].__setitem__(0, 1))),
+    ("forest", "threshold outside the cube", _edit(lambda t, p: p["threshold"].__setitem__(0, 1.5))),
+    ("forest", "threshold outside its cell", _second_threshold_outside_its_cell),
+    ("forest", "split born after the horizon",
+     _edit(lambda t, p: p["birth_time"].__setitem__(-1, p["horizon"] + 1.0))),
+    ("forest", "tree dimension differs from the header", _edit(lambda t, p: p.update(dimension=2))),
+    ("forest", "nodes do not form a tree", _edit(lambda t, p: p["split_dim"].append(-1))),
+    ("forest", "box not numbers", lambda m: {**m, "box": ["a", 1.0]}),
+    ("forest", "not an object", lambda m: [1, 2]),
+    ("forest", "not ASCII", lambda m: b"\xff\xfe"),
+    ("density", "v1 format", lambda m: {**m, "format": "mondrian-density-v1"}),
+    ("density", "heights cut short", _edit(lambda t, p: t.update(values=t["values"][:-1]))),
+    ("density", "height not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.inf))),
+    ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
+    ("density", "lambda above the horizon", _edit(lambda t, p: t.update({"lambda": p["horizon"] + 1.0}))),
+    ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
+]
+
+
+@pytest.mark.parametrize("kind,case,mutate", MALFORMED_MODELS,
+                         ids=[f"{kind}: {case}" for kind, case, _ in MALFORMED_MODELS])
+def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mutate):
+    data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
+    if kind == "forest":
+        assert main(["gen", "--task", "gaussian", "--n", "60", "--out", str(data_csv)]) == 0
+        assert main(["fit", "--input", str(data_csv), "--loss", "l2", "--lambda", "6",
+                     "--trees", "2", "--out", str(model_path)]) == 0
+    else:
+        assert main(["gen", "--task", "density", "--n", "60", "--out", str(data_csv)]) == 0
+        assert main(["density", "--input", str(data_csv), "--lambda", "6",
+                     "--trees", "2", "--out", str(model_path)]) == 0
+    model = json.loads(model_path.read_text())
+    assert model["trees"][0]["partition"]["split_dim"][0] >= 0  # the cases need two splits
+    assert len(model["trees"][0]["partition"]["threshold"]) >= 2
+    bad = mutate(model)
+    bad_path = tmp_path / "bad.txt"
+    if isinstance(bad, bytes):
+        bad_path.write_bytes(bad)
+    else:
+        bad_path.write_text(json.dumps(bad))
+    if kind == "forest":
+        capsys.readouterr()
+        assert main(["predict", "--model", str(bad_path), "--input", str(data_csv),
+                     "--out", str(tmp_path / "pred.csv")]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+    else:
+        # no command loads a density model, so the loader is called directly
+        with pytest.raises(InputError):
+            load_density_model(str(bad_path))

@@ -7,10 +7,8 @@ import pytest
 
 from mondrian_forest import (
     Cell,
-    LeafNode,
     NumericError,
     PartitionTree,
-    SplitNode,
     ValueBox,
     density_eval,
     density_eval_batch,
@@ -23,7 +21,6 @@ from mondrian_forest import (
     recenter,
     sample_partition,
     save_density_model,
-    unit_cell,
     volume,
 )
 from mondrian_forest.density import (
@@ -37,10 +34,8 @@ from oracles import density_opt_reference
 
 
 def split_at_half() -> PartitionTree:
-    left = LeafNode(Cell((0.0,), (0.5,)))
-    right = LeafNode(Cell((0.5,), (1.0,)))
-    root = SplitNode(unit_cell(1), 0.5, 0, 0.5, left, right)
-    return PartitionTree(1, 1.0, root, "manual")
+    return PartitionTree(1, 1.0, [0, -1, -1], [0.5, math.nan, math.nan],
+                         [0.5, math.inf, math.inf], "manual")
 
 
 def beta_like_points(seed: int, n: int):
@@ -73,13 +68,13 @@ def test_empty_leaf_pinned_to_box_bottom():
 
 
 def test_recenter_examples():
-    cells = [Cell((0.0,), (0.5,)), Cell((0.5,), (1.0,))]
+    vols = [volume(Cell((0.0,), (0.5,))), volume(Cell((0.5,), (1.0,)))]
     heights = np.array([math.log(1.5), math.log(0.5)])
-    centered = recenter(heights, cells)
+    centered = recenter(heights, vols)
     shift = 0.5 * math.log(0.75)
     assert centered == pytest.approx(heights - shift, abs=1e-15)
-    assert recenter(centered, cells) == pytest.approx(centered, abs=1e-15)
-    assert recenter(np.array([2.5, 2.5]), cells) == pytest.approx([0.0, 0.0],
+    assert recenter(centered, vols) == pytest.approx(centered, abs=1e-15)
+    assert recenter(np.array([2.5, 2.5]), vols) == pytest.approx([0.0, 0.0],
                                                                   abs=1e-15)
 
 
@@ -200,10 +195,11 @@ def test_full_pipeline_handles_binding_boxes():
 
 
 def test_zero_volume_leaf_rejected():
-    left = LeafNode(Cell((0.0, 0.0), (0.5, 1.0)))
-    right = LeafNode(Cell((0.5, 0.0), (0.5, 1.0)))
-    root = SplitNode(unit_cell(2), 0.5, 0, 0.5, left, right)
-    broken = PartitionTree(2, 1.0, root, "manual")
+    # the left cell [0, 0.5) x [0, 1] splits at its upper edge, leaving the
+    # right leaf [0.5, 0.5) x [0, 1] with no volume
+    broken = PartitionTree(2, 1.0, [0, 0, -1, -1, -1],
+                           [0.5, 0.5, math.nan, math.nan, math.nan],
+                           [0.5, 0.7, math.inf, math.inf, math.inf], "manual")
     with pytest.raises(NumericError):
         fit_density_tree(broken, 1.0, np.array([[0.1, 0.1]]), ValueBox(-3, 3))
 

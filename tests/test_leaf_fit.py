@@ -122,6 +122,17 @@ def test_golden_section_known_minima():
     assert z == pytest.approx(-2.0, abs=1e-6)
 
 
+def test_surrogates_fit_the_label_side_of_the_box():
+    # phi1 = (1 - margin)^2 is least at the label itself; phi2..phi6 never
+    # increase in the margin, so with one label the box edge on its side is optimal
+    box = ValueBox(-3.0, 3.0)
+    for k in range(1, 7):
+        spec = LossSpec(f"phi{k}")
+        hi, lo = (1.0, -1.0) if k == 1 else (box.hi, box.lo)
+        assert fit_leaf(spec, np.ones(10), box).value == pytest.approx(hi, abs=1e-8), k
+        assert fit_leaf(spec, -np.ones(10), box).value == pytest.approx(lo, abs=1e-8), k
+
+
 def test_hinge_tie_matches_grid_value():
     spec = LossSpec("phi2")
     ys = [1.0, 1.0, -1.0, -1.0]

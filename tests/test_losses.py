@@ -81,22 +81,23 @@ def test_exponential_family_values():
 
 
 def test_surrogate_values_match_formulas():
-    def phi(k, u):
+    def phi(k, m):
+        """Surrogate cost at the margin m = y*v."""
         if k == 1:
-            return (1.0 + u) ** 2
+            return (1.0 - m) ** 2
         if k == 2:
-            return max(1.0 - u, 0.0)
+            return max(1.0 - m, 0.0)
         if k == 3:
-            if u <= 0.0:
-                return 0.5 - u
-            if u <= 1.0:
-                return (1.0 - u) ** 2 / 2.0
+            if m <= 0.0:
+                return 0.5 - m
+            if m <= 1.0:
+                return (1.0 - m) ** 2 / 2.0
             return 0.0
         if k == 4:
-            return max(1.0 - u, 0.0) ** 2
+            return max(1.0 - m, 0.0) ** 2
         if k == 5:
-            return math.log2(1.0 + math.exp(u))
-        return math.exp(u)
+            return math.log2(1.0 + math.exp(-m))
+        return math.exp(-m)
 
     rng = np.random.default_rng(5)
     for k in range(1, 7):
@@ -104,7 +105,7 @@ def test_surrogate_values_match_formulas():
         for _ in range(100):
             v = rng.uniform(-2, 2)
             y = rng.choice([-1.0, 1.0])
-            expected = phi(k, -y * v)
+            expected = phi(k, y * v)
             assert loss_eval(spec, v, y) == pytest.approx(expected, abs=1e-12)
 
 

@@ -1,47 +1,55 @@
 """Tests for partition sampling, pruning, point location, serialization."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mondrian_forest import (
     Cell,
     InputError,
-    LeafNode,
     PartitionTree,
     ResourceError,
-    SplitNode,
     cell_of,
+    contains,
     leaf_count_at,
     leaves_at,
     locate,
     locate_batch,
-    partition_from_text,
-    partition_to_text,
     sample_partition,
     split_times,
     unit_cell,
     volume,
 )
-from mondrian_forest.partition import sample_split
+from mondrian_forest.partition import (
+    _node_bounds,
+    leaf_nodes,
+    load_model,
+    partition_from_obj,
+    partition_to_obj,
+    sample_split,
+    save_model,
+    tree_from_obj,
+    tree_to_obj,
+)
 
 from oracles import locate_scan
 
 
 def two_leaf_tree(threshold: float = 0.5, birth: float = 1.2) -> PartitionTree:
-    root_cell = unit_cell(1)
-    left = LeafNode(Cell((0.0,), (threshold,)))
-    right = LeafNode(Cell((threshold,), (1.0,)))
-    root = SplitNode(root_cell, birth, 0, threshold, left, right)
-    return PartitionTree(1, 2.0, root, "manual")
+    return PartitionTree(1, 2.0, [0, -1, -1], [threshold, math.nan, math.nan],
+                         [birth, math.inf, math.inf], "manual")
 
 
-def walk_nodes(node):
-    yield node
-    if isinstance(node, SplitNode):
-        yield from walk_nodes(node.left)
-        yield from walk_nodes(node.right)
+def walk_splits(tree, node=0):
+    """Split nodes reached from ``node`` by following child links."""
+    if tree.split_dim[node] >= 0:
+        yield node
+        yield from walk_splits(tree, node + 1)
+        yield from walk_splits(tree, tree.right[node])
 
 
 def test_horizon_zero_single_leaf():
@@ -76,7 +84,7 @@ def test_split_dimension_proportional_to_side_length():
     draws = 20_000
     hits = 0
     for _ in range(draws):
-        dim, threshold = sample_split(cell, rng)
+        dim, threshold = sample_split(cell.lo, cell.hi, rng)
         if dim == 0:
             hits += 1
             assert 0.0 < threshold < 1.0
@@ -106,8 +114,7 @@ def test_leaves_at_pruning_thresholds():
 def test_split_times_match_node_walk():
     tree = sample_partition(2, 4.0, 31)
     times = split_times(tree)
-    walked = sorted(node.birth_time for node in walk_nodes(tree.root)
-                    if isinstance(node, SplitNode))
+    walked = sorted(float(tree.birth_time[node]) for node in walk_splits(tree))
     assert times == walked
     assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
 
@@ -116,26 +123,28 @@ def test_birth_times_increase_down_every_path():
     tree = sample_partition(3, 2.5, 7)
 
     def check(node, floor):
-        if isinstance(node, SplitNode):
-            assert node.birth_time > floor
-            assert node.birth_time <= tree.horizon
-            check(node.left, node.birth_time)
-            check(node.right, node.birth_time)
+        if tree.split_dim[node] >= 0:
+            birth = tree.birth_time[node]
+            assert birth > floor
+            assert birth <= tree.horizon
+            check(node + 1, birth)
+            check(tree.right[node], birth)
 
-    check(tree.root, 0.0)
+    check(0, 0.0)
 
 
 def test_children_tile_parent():
     tree = sample_partition(2, 3.0, 99)
-    for node in walk_nodes(tree.root):
-        if not isinstance(node, SplitNode):
-            continue
-        j = node.split_dim
-        assert node.cell.lo[j] < node.threshold < node.cell.hi[j]
-        assert node.left.cell.lo == node.cell.lo
-        assert node.right.cell.hi == node.cell.hi
-        assert node.left.cell.hi[j] == node.threshold
-        assert node.right.cell.lo[j] == node.threshold
+    lo, hi = _node_bounds(tree)
+    assert list(lo[0]) == [0.0, 0.0] and list(hi[0]) == [1.0, 1.0]
+    for node in walk_splits(tree):
+        j, t = tree.split_dim[node], tree.threshold[node]
+        left, right = node + 1, tree.right[node]
+        assert lo[node, j] < t < hi[node, j]
+        assert np.array_equal(lo[left], lo[node])
+        assert np.array_equal(hi[right], hi[node])
+        assert hi[left, j] == t
+        assert lo[right, j] == t
 
 
 def test_partition_tiles_unit_cube():
@@ -188,28 +197,102 @@ def test_threshold_point_descends_right():
     assert list(ids) == [1, 0, 1]
 
 
-def test_determinism_same_seed():
+def save_partition(tree, path):
+    save_model({"format": "test", **partition_to_obj(tree)}, path)
+    return path.read_bytes()
+
+
+def test_determinism_same_seed(tmp_path):
     a = sample_partition(2, 3.0, 4242)
     b = sample_partition(2, 3.0, 4242)
-    assert partition_to_text(a) == partition_to_text(b)
+    assert save_partition(a, tmp_path / "a") == save_partition(b, tmp_path / "b")
     c = sample_partition(2, 3.0, 4243)
-    assert partition_to_text(a) != partition_to_text(c)
+    assert save_partition(a, tmp_path / "a") != save_partition(c, tmp_path / "c")
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     tree = sample_partition(2, 3.5, 88)
-    text = partition_to_text(tree)
-    back = partition_from_text(text)
+    text = save_partition(tree, tmp_path / "tree")
+    back = partition_from_obj(load_model(tmp_path / "tree", "test"))
     assert back.dimension == tree.dimension
     assert back.horizon == tree.horizon
     assert back.stream_id == tree.stream_id
-    assert partition_to_text(back) == text
+    assert save_partition(back, tmp_path / "again") == text
     assert leaves_at(back, 3.5) == leaves_at(tree, 3.5)
     assert split_times(back) == split_times(tree)
 
 
-def test_deserialization_rejects_garbage():
+def test_deserialization_rejects_garbage(tmp_path):
+    path = tmp_path / "garbage"
+    path.write_text("not json at all")
     with pytest.raises(InputError):
-        partition_from_text("not json at all")
+        load_model(path, "test")
+    path.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(InputError):
-        partition_from_text("{\"format\": \"something-else\"}")
+        load_model(path, "test")
+    with pytest.raises(InputError):
+        partition_from_obj({"format": "something-else"})
+
+
+# Properties of the flat representation over random genealogies. The runs
+# are derandomized, so every run checks the same examples.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def genealogies(draw):
+    """A sampled tree in d = 1..3 and a horizon lam in [0, tree horizon]."""
+    d = draw(st.integers(1, 3))
+    horizon = draw(st.floats(0.0, 6.0 / d))
+    tree = sample_partition(d, horizon, draw(st.integers(0, 2**32 - 1)))
+    return tree, draw(st.floats(0.0, horizon))
+
+
+@PROPERTY
+@given(genealogies())
+def test_property_leaf_volumes_sum_to_one(case):
+    tree, lam = case
+    assert math.fsum(volume(c) for c in leaves_at(tree, lam)) == pytest.approx(1.0, abs=1e-12)
+
+
+@PROPERTY
+@given(genealogies(), st.data())
+def test_property_each_point_in_exactly_one_leaf(case, data):
+    tree, lam = case
+    # corners and thresholds too, where half-open ownership decides
+    coordinate = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.0, 1.0] + tree.threshold[tree.split_dim >= 0].tolist()))
+    xs = np.array(data.draw(st.lists(
+        st.lists(coordinate, min_size=tree.dimension, max_size=tree.dimension),
+        min_size=1, max_size=20)))
+    cells = leaves_at(tree, lam)
+    ids = locate_batch(tree, lam, xs)
+    for x, k in zip(xs, ids):
+        assert [i for i, cell in enumerate(cells) if contains(cell, x)] == [k]
+        assert locate(tree, lam, x) == k
+        assert cell_of(tree, lam, x) == cells[k]
+
+
+@PROPERTY
+@given(genealogies(), st.floats(0.0, 1.0))
+def test_property_leaf_count_monotone_in_lambda(case, share):
+    tree, lam = case
+    later = min(lam + share * (tree.horizon - lam), tree.horizon)
+    assert leaf_count_at(tree, lam) <= leaf_count_at(tree, later)
+    assert leaf_count_at(tree, lam) == len(leaves_at(tree, lam)) == len(leaf_nodes(tree, lam))
+
+
+@PROPERTY
+@given(genealogies(), st.data())
+def test_property_codec_text_round_trips_bit_for_bit(case, data):
+    tree, lam = case
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=leaf_count_at(tree, lam),
+                                max_size=leaf_count_at(tree, lam)))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        save_model({"format": "test", "tree": tree_to_obj(tree, lam, values)}, first)
+        back = tree_from_obj(load_model(first, "test")["tree"], tree.dimension)
+        save_model({"format": "test", "tree": tree_to_obj(*back)}, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert back[1] == lam and back[2].tolist() == values
