@@ -292,8 +292,11 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
 
 def read_csv_columns(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Points and responses of an ``x1,...,xd[,y]`` CSV file, not yet validated."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not an ASCII text file: {exc}") from exc
     if not lines:
         raise InputError(f"{path}: empty file")
     header = lines[0].split(",")

@@ -1,10 +1,12 @@
-"""Per-leaf box-constrained scalar risk minimization.
+"""Box-constrained scalar risk minimization, for many leaves at once.
 
-Each leaf solves ``argmin_{z in box} sum_i loss(z, y_i)``. Families with a
+Each leaf solves ``argmin_{z in box} sum_i loss(z, y_i)``. :func:`fit_groups`
+solves every leaf of a fit in one pass over the responses: families with a
 known minimizer use it directly (projected onto the box, which is valid
-because every loss here is convex in ``z``); the rest go through a golden
-section search, which convexity makes reliable. Empty leaves get the value
-0, or the box endpoint nearest 0 when the box excludes it.
+because every loss here is convex in ``z``), computed from per-group sums
+or order statistics; the rest go through one golden section search run
+for all groups at once, which convexity makes reliable. Empty groups get
+the value 0, or the box endpoint nearest 0 when the box excludes it.
 """
 
 from __future__ import annotations
@@ -15,68 +17,149 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InputError, NumericError, ValueBox, clamp
-from .losses import LossSpec, check_values, loss_eval, loss_values, validate_responses
+from .core import InputError, NumericError, ValueBox
+from .losses import LossSpec, check_values, loss_values, validate_responses
 
 CLOSED_FORM = "closed_form"
 SOLVER = "solver"
 EMPTY_DEFAULT = "empty_default"
 
+SOLVER_FAMILIES = ("huber", "bernoulli", "geometric", "phi2", "phi3", "phi4")
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_min(f: Callable[[float], float], box: ValueBox,
-                       tol_x: float | None = None, max_iter: int = 200) -> float:
+def golden_section_min(f: Callable, box: ValueBox, tol_x: float | None = None,
+                       max_iter: int = 200, groups: int | None = None):
     """Minimize a convex scalar function over a closed interval.
 
     Returns a point whose objective value is best among all evaluations,
     bracketing the minimizer to within ``tol_x`` (default 1e-10 of the box
     width). Flat stretches are fine: some point of the minimizing set is
     returned. Non-finite objective values raise :class:`NumericError`.
+
+    With ``groups=k``, ``k`` objectives are minimized at once: ``f`` maps an
+    array of ``k`` candidates, one per objective, to their ``k`` values, and
+    the ``k`` minimizers come back as an array. Every bracket starts as the
+    box and shrinks by the factor ``GOLDEN`` each step, so all reach
+    ``tol_x`` on the same step, and each objective gets the brackets and
+    the result of its own one-objective search.
     """
-    lo, hi = box.lo, box.hi
     if tol_x is None:
         tol_x = 1e-10 * box.width
     if not tol_x > 0.0:
         raise InputError("tol_x must be > 0")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
+    one = groups is None
+    objective = (lambda z: [f(float(z[0]))]) if one else f
 
-    def ev(z: float) -> float:
-        val = float(f(z))
-        if not math.isfinite(val):
-            raise NumericError(f"objective evaluated to {val} at z={z}")
-        return val
+    def ev(z: np.ndarray) -> np.ndarray:
+        vals = np.asarray(objective(z), dtype=float).reshape(-1)
+        if not np.isfinite(vals).all():
+            bad = np.argmin(np.isfinite(vals))
+            raise NumericError(f"objective evaluated to {vals[bad]} at z={z[bad]}")
+        return vals
 
-    best_z, best_f = lo, ev(lo)
-    f_hi = ev(hi)
-    if f_hi < best_f:
-        best_z, best_f = hi, f_hi
+    def keep_best(z: np.ndarray, fz: np.ndarray) -> None:
+        better = fz < best_f
+        best_z[better], best_f[better] = z[better], fz[better]
 
-    a, b = lo, hi
+    a = np.full(1 if one else groups, box.lo)
+    b = np.full_like(a, box.hi)
+    best_z, best_f = a.copy(), ev(a)
+    keep_best(b, ev(b))
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = ev(c), ev(d)
     for _ in range(max_iter):
-        if fc < best_f:
-            best_z, best_f = c, fc
-        if fd < best_f:
-            best_z, best_f = d, fd
-        if b - a <= tol_x:
+        keep_best(c, fc)
+        keep_best(d, fd)
+        if np.all(b - a <= tol_x):
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = ev(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = ev(d)
+        left = fc < fd  # the minimizer lies below d: keep [a, d], else [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - GOLDEN * (b - a), d), np.where(left, c, a + GOLDEN * (b - a))
+        fz = ev(np.where(left, c, d))
+        fc, fd = np.where(left, fz, fd), np.where(left, fc, fz)
     mid = 0.5 * (a + b)
-    fm = ev(mid)
-    if fm < best_f:
-        best_z, best_f = mid, fm
-    return best_z
+    keep_best(mid, ev(mid))
+    return float(best_z[0]) if one else best_z
+
+
+def fit_groups(spec: LossSpec, group_ids, ys, box: ValueBox,
+               group_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fit one constant over ``box`` to each group of responses.
+
+    Response ``ys[i]`` belongs to group ``group_ids[i]`` in
+    ``[0, group_count)``. Returns every group's value and its summed loss at
+    that value. A group's result depends only on its own responses in their
+    order, so it is the result of a one-group call on them, bit for bit. An
+    empty group gets the value 0 projected into the box and zero loss.
+    """
+    arr = validate_responses(spec, np.asarray(ys, dtype=float).reshape(-1))
+    ids = np.asarray(group_ids).reshape(-1)
+    if ids.shape != arr.shape or (ids.size and ids.dtype.kind not in "iu"):
+        raise InputError("fit_groups needs one integer group id per response")
+    if ids.size and not (ids.min() >= 0 and ids.max() < group_count):
+        raise InputError(f"group ids must lie in [0, {group_count})")
+    # value domains are intervals: the box's ends stand for every z
+    check_values(spec, np.array([box.lo, box.hi]))
+    counts = np.bincount(ids, minlength=group_count)
+    if np.any(ids[1:] < ids[:-1]):  # group the responses, each in its order
+        order = np.argsort(ids, kind="stable")
+        ids, arr = ids[order], arr[order]
+    filled = np.flatnonzero(counts)
+    # np.add.reduceat starts a run's sum at its first element and np.sum at 0;
+    # a 0 ahead of each filled group's run makes them agree, so a group's sums,
+    # and so the solver's steps, are those of np.sum over the group alone
+    runs = counts[filled] + 1
+    heads = np.cumsum(runs) - runs
+    slots = np.ones(arr.size + filled.size, dtype=bool)
+    slots[heads] = False
+
+    def sums(per_point: np.ndarray) -> np.ndarray:
+        padded = np.zeros(slots.size)
+        padded[slots] = per_point
+        out = np.zeros(group_count)
+        if filled.size:
+            out[filled] = np.add.reduceat(padded, heads)
+        return out
+
+    def total_loss(z: np.ndarray) -> np.ndarray:
+        if spec.family == "density":
+            return sums(-z[ids])  # the pseudo-loss -v is linear
+        return sums(loss_values(spec, z[ids], arr))
+
+    fam = spec.family
+    if fam in SOLVER_FAMILIES:
+        values = golden_section_min(total_loss, box, groups=group_count)
+    elif fam == "density":
+        values = np.full(group_count, box.hi)  # -v always falls toward the top
+    elif fam == "pinball":
+        # lower-interpolation order statistic of each group's sorted responses
+        rank = np.maximum(np.ceil(spec.tau * counts[filled]).astype(np.int64), 1)
+        first = heads - np.arange(filled.size)  # each filled group's first point
+        values = np.zeros(group_count)
+        values[filled] = np.clip(arr[np.lexsort((arr, ids))][first + rank - 1], box.lo, box.hi)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if fam in ("squared", "gaussian", "phi1"):
+                values = sums(arr) / counts
+            elif fam == "poisson":
+                mean = sums(arr) / counts
+                values = np.where(mean <= 0.0, box.lo, np.log(mean))
+            else:  # phi5, phi6: the log-odds, scaled
+                n_pos, n_neg = sums(arr > 0), sums(arr < 0)
+                scale = 1.0 if fam == "phi5" else 0.5
+                values = np.where(n_neg == 0, box.hi, np.where(
+                    n_pos == 0, box.lo, scale * np.log(n_pos / n_neg)))
+        values = np.clip(values, box.lo, box.hi)
+    values[counts == 0] = box.clip(0.0)
+    losses = total_loss(values)
+    if not np.all(np.isfinite(losses)):
+        raise NumericError("leaf fit achieved a non-finite loss")
+    return values, losses
 
 
 @dataclass(frozen=True)
@@ -86,58 +169,16 @@ class LeafFitResult:
     method: str
 
 
-def _counts_pm(ys: np.ndarray) -> tuple[int, int]:
-    return int(np.sum(ys > 0)), int(np.sum(ys < 0))
-
-
-def _closed_form(spec: LossSpec, ys: np.ndarray, box: ValueBox) -> float | None:
-    fam = spec.family
-    if fam in ("squared", "gaussian", "phi1"):
-        return box.clip(float(np.mean(ys)))
-    if fam == "pinball":
-        k = math.ceil(spec.tau * ys.size)  # lower-interpolation order statistic
-        k = max(k, 1)
-        return box.clip(float(np.sort(ys)[k - 1]))
-    if fam == "poisson":
-        mean = float(np.mean(ys))
-        return box.lo if mean <= 0.0 else box.clip(math.log(mean))
-    if fam in ("phi5", "phi6"):
-        n_pos, n_neg = _counts_pm(ys)
-        if n_neg == 0:
-            return box.hi
-        if n_pos == 0:
-            return box.lo
-        scale = 1.0 if fam == "phi5" else 0.5
-        return box.clip(scale * math.log(n_pos / n_neg))
-    return None
-
-
 def fit_leaf(spec: LossSpec, ys, box: ValueBox) -> LeafFitResult:
-    """Fit one leaf's constant over ``box`` for responses ``ys``.
+    """Fit one leaf's constant over ``box`` for responses ``ys``: the
+    one-group case of :func:`fit_groups`.
 
     An empty leaf yields the default value 0 (projected into the box) and
     zero achieved loss.
     """
     arr = np.asarray(ys, dtype=float).reshape(-1)
-    if arr.size == 0:
-        return LeafFitResult(value=box.clip(0.0), achieved_loss=0.0,
-                             method=EMPTY_DEFAULT)
-    arr = validate_responses(spec, arr)
-
-    if spec.family == "density":
-        # pseudo-loss -v is linear: the box's upper edge always minimizes
-        value = box.hi
-        method = CLOSED_FORM
-    else:
-        value = _closed_form(spec, arr, box)
-        method = CLOSED_FORM
-        if value is None:
-            # value domains are intervals: the box's ends stand for every z
-            check_values(spec, np.array([box.lo, box.hi]))
-            value = golden_section_min(
-                lambda z: float(np.sum(loss_values(spec, z, arr))), box)
-            method = SOLVER
-    achieved = float(np.sum(loss_eval(spec, value, arr)))
-    if not math.isfinite(achieved):
-        raise NumericError("leaf fit achieved a non-finite loss")
-    return LeafFitResult(value=float(value), achieved_loss=achieved, method=method)
+    values, losses = fit_groups(spec, np.zeros(arr.size, dtype=np.int64), arr, box, 1)
+    method = (EMPTY_DEFAULT if arr.size == 0
+              else SOLVER if spec.family in SOLVER_FAMILIES else CLOSED_FORM)
+    return LeafFitResult(value=float(values[0]), achieved_loss=float(losses[0]),
+                         method=method)

@@ -170,8 +170,10 @@ def loss_values(spec: LossSpec, v, y: np.ndarray) -> np.ndarray:
             return (spec.tau - (u < 0.0)) * u
         if fam == "huber":
             r = np.abs(v - y)
-            return np.where(r <= spec.delta, 0.5 * r**2,
-                            spec.delta * (r - 0.5 * spec.delta))
+            # written into one array: a grouped fit evaluates n x depth points
+            out = np.asarray(spec.delta * (r - 0.5 * spec.delta))
+            np.copyto(out, 0.5 * r**2, where=r <= spec.delta)
+            return out
         if fam == "gaussian":
             return -v * y + 0.5 * v**2
         if fam == "poisson":

@@ -269,6 +269,40 @@ def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
     return out
 
 
+def node_members(tree: PartitionTree, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Every (node, point) pair of the genealogy whose node's cell holds the point.
+
+    Returns the pairs as a node array and a point-index array, sorted by
+    node and then by point. Each point goes down the whole genealogy once,
+    so there are about n times the depth pairs; nodes no point reaches have
+    none.
+    """
+    points = as_points(xs, dimension=tree.dimension)
+    nodes: list[int] = []
+    members: list[np.ndarray] = []
+    # a stack, not a recursive closure: a closure that calls itself is a
+    # reference cycle, and would keep every member array until the next
+    # garbage collection
+    stack = [(0, np.arange(points.shape[0]))] if points.shape[0] else []
+    while stack:
+        node, idx = stack.pop()
+        nodes.append(node)
+        members.append(idx)
+        dim = tree.split_dim[node]
+        if dim < 0:
+            continue
+        go_left = points[idx, dim] < tree.threshold[node]
+        # the left child is pushed last, so it comes out first: pre-order
+        for child, part in ((tree.right[node], idx[~go_left]), (node + 1, idx[go_left])):
+            if part.size:
+                stack.append((child, part))
+    if not nodes:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    sizes = [m.size for m in members]
+    return np.repeat(np.asarray(nodes, dtype=np.int64), sizes), np.concatenate(members)
+
+
 def cell_of(tree: PartitionTree, lam: float, x) -> Cell:
     """The leaf cell of the time-``lam`` partition containing ``x``."""
     lo, hi = leaf_bounds(tree, lam)

@@ -4,9 +4,14 @@ For one partition genealogy, the in-sample risk of the fitted tree is a
 piecewise-constant, non-increasing function of the horizon, jumping only
 when a split is born. Adding the linear penalty ``alpha * lam`` makes the
 objective increasing between jumps, so the exact minimizer over all
-horizons lies on the finite set {0} U {split birth times}. The path walks
-those events in birth order, replacing one leaf's risk contribution with
-its two refitted children at each step.
+horizons lies on the finite set {0} U {split birth times}.
+
+Every genealogy node holds a fixed set of points, hence a fixed fitted
+value and summed loss L(node), and the tree at any horizon is a set of
+nodes. So one grouped leaf fit over all (point, node) pairs gives every
+node's value and loss, and the summed risk at each birth time is L(root)
+plus the running sum of L(left) + L(right) - L(parent) over the splits
+born so far.
 """
 
 from __future__ import annotations
@@ -26,22 +31,28 @@ from .core import (
     tree_streams,
 )
 from .forest import Forest
-from .leaf_fit import fit_leaf
+from .leaf_fit import fit_groups
 from .losses import LossSpec
-from .partition import PartitionTree, sample_partition
-from .tree import FittedTree, fit_tree
+from .partition import PartitionTree, leaf_nodes, node_members, sample_partition
+from .tree import FittedTree
 
 DEFAULT_ALPHA = 0.1
 
 
 @dataclass(frozen=True)
 class PenaltyPath:
-    """Risk and penalty evaluated at every candidate horizon of one tree."""
+    """Risk and penalty evaluated at every candidate horizon of one tree.
+
+    ``node_values`` holds every genealogy node's fitted value, so the tree
+    at horizon ``lam`` has the leaf values
+    ``node_values[leaf_nodes(partition, lam)]``.
+    """
 
     breakpoints: np.ndarray
     risks: np.ndarray
     alpha: float
     lambda_star: float
+    node_values: np.ndarray
 
     @property
     def pen_totals(self) -> np.ndarray:
@@ -65,42 +76,31 @@ def penalty_path(partition: PartitionTree, data: Dataset, spec: LossSpec,
         raise InputError("data dimension does not match partition dimension")
     if spec.family == "density":
         raise InputError("penalty path is defined for supervised families")
-    ys = data.require_responses()
+    nodes, points = node_members(partition, data.points)
+    ys = data.require_responses()[points]
+    del points  # the pairs dominate the fit's memory
+    node_values, node_losses = fit_groups(spec, nodes, ys, box, partition.split_dim.shape[0])
 
     splits = np.flatnonzero(partition.split_dim >= 0)
     # a parent is born no later than its children and precedes them in pre-order
     events = splits[np.argsort(partition.birth_time[splits], kind="stable")]
-
-    # per-active-leaf state, keyed by node: point indices and summed leaf loss
-    member: dict[int, np.ndarray] = {0: np.arange(data.n)}
-    loss_sum: dict[int, float] = {0: fit_leaf(spec, ys, box).achieved_loss}
-
-    breakpoints = [0.0]
-    risks = [sum(loss_sum.values()) / data.n]
-    for node in events.tolist():
-        idx = member.pop(node)
-        loss_sum.pop(node)
-        go_left = data.points[idx, partition.split_dim[node]] < partition.threshold[node]
-        left, right = node + 1, int(partition.right[node])
-        member[left], member[right] = idx[go_left], idx[~go_left]
-        loss_sum[left] = fit_leaf(spec, ys[member[left]], box).achieved_loss
-        loss_sum[right] = fit_leaf(spec, ys[member[right]], box).achieved_loss
-        breakpoints.append(float(partition.birth_time[node]))
-        risks.append(sum(loss_sum.values()) / data.n)
-
-    bp = np.asarray(breakpoints)
-    rk = np.asarray(risks)
+    # each split replaces its node's loss by the losses of its two children
+    gains = (node_losses[events + 1] + node_losses[partition.right[events]]
+             - node_losses[events])
+    bp = np.concatenate(([0.0], partition.birth_time[events]))
+    rk = np.cumsum(np.concatenate(([node_losses[0]], gains))) / data.n
     # first occurrence of the minimum = smallest minimizing horizon
     lambda_star = float(bp[int(np.argmin(rk + alpha * bp))])
     return PenaltyPath(breakpoints=bp, risks=rk, alpha=alpha,
-                       lambda_star=lambda_star)
+                       lambda_star=lambda_star, node_values=node_values)
 
 
 def fit_forest_auto(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
     """Fit a forest whose trees each select their own horizon by penalty.
 
     Every tree's genealogy is sampled up to ``lambda_max``; the tree is
-    then pruned at its penalized-risk minimizer.
+    then pruned at its penalized-risk minimizer and takes its leaf values
+    from the path's node fits.
     """
     if not isinstance(config.lambda_mode, AutoLambda):
         raise InputError("fit_forest_auto requires AutoLambda mode")
@@ -115,6 +115,7 @@ def fit_forest_auto(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
         except ResourceError as exc:
             raise ResourceError(f"tree {b}: {exc}") from exc
         path = penalty_path(partition, data, spec, config.value_box, mode.alpha)
-        trees.append(fit_tree(partition, path.lambda_star, data, spec,
-                              config.value_box))
+        values = path.node_values[leaf_nodes(partition, path.lambda_star)]
+        trees.append(FittedTree(partition=partition, lam=path.lambda_star,
+                                leaf_values=values, loss=spec, box=config.value_box))
     return Forest(trees=tuple(trees), spec=spec, config=config)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, InputError, ValueBox, as_points
-from .leaf_fit import fit_leaf
+from .leaf_fit import fit_groups
 from .losses import LossSpec, loss_eval
 from .partition import PartitionTree, leaf_count_at, locate, locate_batch
 
@@ -23,22 +23,14 @@ class FittedTree:
     box: ValueBox
 
 
-def group_by_leaf(ids: np.ndarray, leaf_count: int) -> list[np.ndarray]:
-    """Index arrays of the points in each leaf, ordered by leaf id."""
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(leaf_count + 1))
-    return [order[bounds[k]:bounds[k + 1]] for k in range(leaf_count)]
-
-
 def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
              spec: LossSpec, box: ValueBox) -> FittedTree:
     """Fit the constant of every leaf of the time-``lam`` partition.
 
-    Points are assigned to leaves in one vectorized descent; each leaf's
-    constant then solves the box-constrained scalar problem on the
-    responses that landed in it. An empty dataset leaves every leaf at the
-    empty default.
+    Points are assigned to leaves in one vectorized descent; one
+    :func:`fit_groups` call then solves every leaf's box-constrained scalar
+    problem on the responses that landed in it. An empty dataset leaves
+    every leaf at the empty default.
     """
     if data.dimension != partition.dimension:
         raise InputError(
@@ -48,11 +40,8 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
     if data.n == 0:
         values = np.full(leaf_count, box.clip(0.0))
     else:
-        ys = data.require_responses()
         ids = locate_batch(partition, lam, data.points)
-        values = np.empty(leaf_count)
-        for k, idx in enumerate(group_by_leaf(ids, leaf_count)):
-            values[k] = fit_leaf(spec, ys[idx], box).value
+        values, _ = fit_groups(spec, ids, data.require_responses(), box, leaf_count)
     return FittedTree(partition=partition, lam=float(lam), leaf_values=values,
                       loss=spec, box=box)
 

@@ -342,6 +342,7 @@ MALFORMED_MODELS = [
     ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
     ("density", "lambda above the horizon", _edit(lambda t, p: t.update({"lambda": p["horizon"] + 1.0}))),
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
+    ("dataset", "not ASCII", lambda m: b"x1,y\n\xff,1\n"),
 ]
 
 
@@ -349,7 +350,7 @@ MALFORMED_MODELS = [
                          ids=[f"{kind}: {case}" for kind, case, _ in MALFORMED_MODELS])
 def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mutate):
     data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
-    if kind == "forest":
+    if kind != "density":
         assert main(["gen", "--task", "gaussian", "--n", "60", "--out", str(data_csv)]) == 0
         assert main(["fit", "--input", str(data_csv), "--loss", "l2", "--lambda", "6",
                      "--trees", "2", "--out", str(model_path)]) == 0
@@ -371,6 +372,12 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
         assert main(["predict", "--model", str(bad_path), "--input", str(data_csv),
                      "--out", str(tmp_path / "pred.csv")]) == 2
         assert capsys.readouterr().err.startswith("input error:")
+    elif kind == "dataset":
+        capsys.readouterr()
+        assert main(["fit", "--input", str(bad_path), "--loss", "l2", "--lambda", "6",
+                     "--out", str(tmp_path / "refit.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(bad_path) in err
     else:
         # no command loads a density model, so the loader is called directly
         with pytest.raises(InputError):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mondrian_forest import (
     InputError,
@@ -14,7 +15,8 @@ from mondrian_forest import (
     golden_section_min,
     loss_eval,
 )
-from mondrian_forest.leaf_fit import CLOSED_FORM, EMPTY_DEFAULT, SOLVER
+from mondrian_forest.leaf_fit import CLOSED_FORM, EMPTY_DEFAULT, SOLVER, fit_groups
+from mondrian_forest.losses import ALL_FAMILIES
 
 from oracles import grid_minimum, leaf_loss_sum
 
@@ -187,3 +189,58 @@ def test_density_leaf_uses_box_top():
     assert res.value == 2.0
     assert res.achieved_loss == -4.0
     assert res.method == CLOSED_FORM
+
+
+def test_group_sums_are_taken_as_np_sum_takes_them():
+    # solver steps compare such sums, so their rounding decides flat-bottom ties
+    rng = np.random.default_rng(13)
+    sizes = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 9000]
+    ids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    ys = rng.standard_t(3, ids.size)
+    spec = LossSpec("squared")
+    values, losses = fit_groups(spec, ids, ys, ValueBox(-50, 50), len(sizes))
+    for g in range(len(sizes)):
+        members = ys[ids == g]
+        assert values[g] == np.mean(members)
+        assert losses[g] == np.sum(loss_eval(spec, values[g], members))
+
+
+def family_responses(family: str, raw: np.ndarray) -> np.ndarray:
+    """Admissible responses for ``family`` made from arbitrary numbers."""
+    if family == "poisson":
+        return np.floor(np.abs(raw))
+    if family == "geometric":
+        return np.floor(np.abs(raw)) + 1.0
+    if family == "bernoulli":
+        return (raw > 0).astype(float)
+    if family.startswith("phi"):
+        return np.where(raw > 0, 1.0, -1.0)
+    return raw
+
+
+def every_family(test):
+    """Add one explicit example per family to a property test over families."""
+    for family in ALL_FAMILIES:
+        test = example(family, [(0, 1.5), (1, -0.5), (0, -2.0), (1, 3.0)], 0.3, 1.0)(test)
+    return test
+
+
+@every_family
+@given(st.sampled_from(ALL_FAMILIES),
+       st.lists(st.tuples(st.integers(0, 2), st.floats(-4.0, 4.0)), min_size=1, max_size=10),
+       st.floats(0.05, 0.95), st.floats(0.2, 3.0))
+def test_property_fit_groups_is_one_fit_per_group(family, rows, tau, delta):
+    spec = LossSpec(family, tau=tau if family == "pinball" else None,
+                    delta=delta if family == "huber" else None)
+    ids = np.array([g for g, _ in rows])
+    ys = family_responses(family, np.array([y for _, y in rows]))
+    box = default_value_box(spec, max(ys.size, 2))
+    values, losses = fit_groups(spec, ids, ys, box, 4)  # group 3 stays empty
+    for g in range(4):
+        one = fit_leaf(spec, ys[ids == g], box)
+        assert (values[g], losses[g]) == (one.value, one.achieved_loss)
+        assert box.holds(values[g])
+        if np.any(ids == g):
+            # criterion 3's tolerance
+            _, grid_min = grid_minimum(spec, ys[ids == g], box)
+            assert losses[g] <= grid_min + 1e-6 * (1.0 + abs(grid_min))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mondrian_forest import (
     Cell,
@@ -28,6 +28,7 @@ from mondrian_forest.partition import (
     _node_bounds,
     leaf_nodes,
     load_model,
+    node_members,
     partition_from_obj,
     partition_to_obj,
     sample_split,
@@ -234,9 +235,8 @@ def test_deserialization_rejects_garbage(tmp_path):
         partition_from_obj({"format": "something-else"})
 
 
-# Properties of the flat representation over random genealogies. The runs
-# are derandomized, so every run checks the same examples.
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Properties of the flat representation over random genealogies; the
+# settings are the suite's profile in conftest.py.
 
 
 @st.composite
@@ -248,14 +248,12 @@ def genealogies(draw):
     return tree, draw(st.floats(0.0, horizon))
 
 
-@PROPERTY
 @given(genealogies())
 def test_property_leaf_volumes_sum_to_one(case):
     tree, lam = case
     assert math.fsum(volume(c) for c in leaves_at(tree, lam)) == pytest.approx(1.0, abs=1e-12)
 
 
-@PROPERTY
 @given(genealogies(), st.data())
 def test_property_each_point_in_exactly_one_leaf(case, data):
     tree, lam = case
@@ -273,7 +271,6 @@ def test_property_each_point_in_exactly_one_leaf(case, data):
         assert cell_of(tree, lam, x) == cells[k]
 
 
-@PROPERTY
 @given(genealogies(), st.floats(0.0, 1.0))
 def test_property_leaf_count_monotone_in_lambda(case, share):
     tree, lam = case
@@ -282,7 +279,6 @@ def test_property_leaf_count_monotone_in_lambda(case, share):
     assert leaf_count_at(tree, lam) == len(leaves_at(tree, lam)) == len(leaf_nodes(tree, lam))
 
 
-@PROPERTY
 @given(genealogies(), st.data())
 def test_property_codec_text_round_trips_bit_for_bit(case, data):
     tree, lam = case
@@ -296,3 +292,18 @@ def test_property_codec_text_round_trips_bit_for_bit(case, data):
         save_model({"format": "test", "tree": tree_to_obj(*back)}, second)
         assert first.read_bytes() == second.read_bytes()
     assert back[1] == lam and back[2].tolist() == values
+
+
+@given(genealogies(), st.data())
+def test_property_node_members_are_every_leaf_holding_each_point(case, data):
+    tree, _ = case
+    coordinate = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [0.0, 1.0] + tree.threshold[tree.split_dim >= 0].tolist()))
+    xs = np.array(data.draw(st.lists(
+        st.lists(coordinate, min_size=tree.dimension, max_size=tree.dimension),
+        min_size=1, max_size=15)))
+    nodes, points = node_members(tree, xs)
+    # the nodes on a point's path are its leaves at time 0 and at every birth
+    expected = sorted({(int(leaf_nodes(tree, lam)[locate_scan(tree, lam, x)]), i)
+                       for i, x in enumerate(xs) for lam in [0.0] + split_times(tree)})
+    assert list(zip(nodes.tolist(), points.tolist())) == expected

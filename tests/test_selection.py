@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mondrian_forest import (
     AutoLambda,
@@ -12,6 +13,7 @@ from mondrian_forest import (
     LossSpec,
     ValueBox,
     default_lambda_max,
+    default_value_box,
     empirical_risk,
     fit_forest,
     fit_forest_auto,
@@ -159,3 +161,40 @@ def test_noise_selects_smaller_horizons_than_structure():
     struct_lams = np.array([t.lam for t in fit_forest_auto(struct, spec, config).trees])
     assert np.median(noise_lams) <= np.quantile(struct_lams, 0.9)
     assert np.median(noise_lams) < np.median(struct_lams)
+
+
+@given(st.sampled_from([LossSpec("squared"), LossSpec("pinball", tau=0.7),
+                        LossSpec("huber", delta=1.0), LossSpec("phi5")]),
+       st.integers(1, 2), st.floats(0.0, 3.0), st.integers(1, 80),
+       st.floats(0.005, 0.5), st.integers(0, 2**32 - 1))
+def test_property_path_matches_brute_force_refit(spec, d, horizon, n, alpha, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, d))
+    if spec.family == "phi5":
+        ys = rng.choice([-1.0, 1.0], n)
+    else:
+        ys = np.sin(4.0 * points[:, 0]) + rng.normal(0.0, 0.5, n)
+    data = Dataset(points, ys)
+    box = default_value_box(spec, max(n, 2))
+    partition = sample_partition(d, horizon, rng)
+    path = penalty_path(partition, data, spec, box, alpha)
+    bps, risks, lam_star = brute_force_path(partition, data, spec, box, alpha)
+    assert np.array_equal(path.breakpoints, bps)
+    assert np.allclose(path.risks, risks, rtol=0.0, atol=1e-10)
+    assert path.lambda_star == lam_star
+
+
+def test_auto_forest_leaf_values_are_a_refit_at_lambda_star():
+    data = noisy_data(23, 300, signal=1.0, noise=0.5)
+    for spec in (LossSpec("squared"), LossSpec("huber", delta=0.5),
+                 LossSpec("pinball", tau=0.3), LossSpec("bernoulli")):
+        ys = (data.responses > 0).astype(float) if spec.family == "bernoulli" else data.responses
+        fit_data = Dataset(data.points, ys)
+        box = default_value_box(spec, data.n)
+        config = FitConfig(tree_count=4, lambda_mode=AutoLambda(0.005, 30.0),
+                           value_box=box, seed=24)
+        trees = fit_forest_auto(fit_data, spec, config).trees
+        assert any(tree.leaf_values.size > 1 for tree in trees)
+        for tree in trees:
+            refit = fit_tree(tree.partition, tree.lam, fit_data, spec, box)
+            assert tree.leaf_values.tobytes() == refit.leaf_values.tobytes(), spec.family

@@ -17,7 +17,7 @@ from mondrian_forest import (
     sample_partition,
     split_times,
 )
-from mondrian_forest.tree import group_by_leaf
+from mondrian_forest.leaf_fit import fit_groups, fit_leaf
 
 from oracles import leaf_loss_sum
 
@@ -29,12 +29,19 @@ def make_data(seed: int, n: int, d: int = 1):
     return Dataset(xs, ys)
 
 
-def test_group_by_leaf_matches_brute_force():
+def test_fit_groups_matches_brute_force_grouping():
     rng = np.random.default_rng(12)
     ids = rng.integers(0, 7, size=300)
-    groups = group_by_leaf(ids, 7)
-    for leaf, members in enumerate(groups):
-        assert sorted(members) == sorted(np.flatnonzero(ids == leaf))
+    ys = rng.normal(size=300)
+    spec, box = LossSpec("squared"), ValueBox(-10, 10)
+    values, losses = fit_groups(spec, ids, ys, box, 8)  # group 7 is empty
+    for leaf in range(8):
+        members = ys[np.flatnonzero(ids == leaf)]
+        one = fit_leaf(spec, members, box)
+        assert (values[leaf], losses[leaf]) == (one.value, one.achieved_loss)
+        assert values[leaf] == pytest.approx(np.mean(members) if members.size else 0.0,
+                                             abs=1e-12)
+        assert losses[leaf] == pytest.approx(leaf_loss_sum(spec, values[leaf], members))
 
 
 def test_single_leaf_mean():
