@@ -68,6 +68,7 @@ from .partition import (
     leaves_at,
     locate,
     locate_batch,
+    sample_forest,
     sample_partition,
     split_times,
 )

@@ -24,7 +24,6 @@ from .core import (
     load_dataset_csv,
     read_csv_columns,
     save_dataset_csv,
-    tree_streams,
 )
 from .density import (
     density_eval_batch,
@@ -48,7 +47,7 @@ from .experiments import (
     partition_stats,
     run_convergence,
 )
-from .partition import sample_partition
+from .partition import sample_forest
 from .selection import DEFAULT_ALPHA, default_lambda_max, fit_forest_auto, penalty_path
 from .synth import TARGET_KINDS, TASKS, TargetFunction, generate
 
@@ -178,9 +177,7 @@ def _cmd_select_lambda(args: argparse.Namespace) -> int:
     box = parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
     lam_max = args.lambda_max if args.lambda_max is not None else \
         default_lambda_max(data.n, data.dimension)
-    rng = tree_streams(args.seed, 1)[0]
-    partition = sample_partition(data.dimension, lam_max, rng,
-                                 stream_id=f"{args.seed}/0")
+    partition = next(sample_forest(data.dimension, lam_max, args.seed, 1))
     path = penalty_path(partition, data, spec, box, args.alpha)
     lines = ["lambda,risk,penalty,pen_total"]
     for lam, risk, pen in zip(path.breakpoints, path.risks, path.pen_totals):
@@ -197,6 +194,8 @@ def _cmd_select_lambda(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    if args.eval_grid < 0:
+        raise InputError(f"--eval-grid must be >= 0, got {args.eval_grid}")
     data = load_dataset_csv(args.input)
     spec = LossSpec("density")
     box = parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
@@ -244,6 +243,17 @@ def _cmd_partition_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2**64), the range numpy seeds take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mondrian-forest",
@@ -251,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, trees: bool = True) -> None:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         if trees:
             p.add_argument("--trees", type=int, default=DEFAULT_TREE_COUNT)
 

@@ -220,16 +220,6 @@ class FitConfig:
             raise InputError("leaf_cap must be >= 1")
 
 
-def tree_streams(seed: int, tree_count: int) -> list[np.random.Generator]:
-    """Independent per-tree generators derived from one master seed.
-
-    Substreams are spawned from a single seed sequence, so tree ``b`` sees
-    the same randomness no matter how many trees run or in what order.
-    """
-    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
-    return [np.random.default_rng(child) for child in children]
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable sample of points in [0,1]^d with an optional response column."""

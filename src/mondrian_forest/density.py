@@ -33,14 +33,13 @@ from .core import (
     ValueBox,
     as_point,
     as_points,
-    tree_streams,
 )
 from .partition import (
     PartitionTree,
     leaf_bounds,
     load_model,
     locate_batch,
-    sample_partition,
+    sample_forest,
     save_model,
     tree_from_obj,
     tree_to_obj,
@@ -62,6 +61,10 @@ class GridMC:
 
     point_count: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.point_count < 1:
+            raise InputError(f"integration grid needs >= 1 point, got {self.point_count}")
 
 
 @dataclass(frozen=True)
@@ -260,25 +263,21 @@ def log_normalizer(model: DensityModel) -> float:
 
 def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
                        box: ValueBox, grid_points: int = DEFAULT_GRID_POINTS,
-                       grid_seed: int | None = None,
                        leaf_cap: int = DEFAULT_LEAF_CAP) -> DensityModel:
     """Fit, recenter, and normalize a density forest on points ``xs``."""
     points = as_points(xs)
     if tree_count < 1:
         raise InputError("tree_count must be >= 1")
     dimension = points.shape[1]
-    trees = []
-    for b, rng in enumerate(tree_streams(seed, tree_count)):
-        partition = sample_partition(dimension, lam, rng, leaf_cap=leaf_cap,
-                                     stream_id=f"{seed}/{b}")
-        heights = fit_density_tree(partition, lam, points, box)
-        heights = recenter(heights, leaf_volumes(partition, lam))
-        trees.append(DensityTree(partition=partition, lam=lam, heights=heights))
     if dimension == 1:
         integration: ExactOverlay | GridMC = ExactOverlay()
     else:
-        integration = GridMC(point_count=grid_points,
-                             seed=int(seed) if grid_seed is None else int(grid_seed))
+        integration = GridMC(point_count=grid_points, seed=int(seed))
+    trees = []
+    for partition in sample_forest(dimension, lam, seed, tree_count, leaf_cap):
+        heights = fit_density_tree(partition, lam, points, box)
+        heights = recenter(heights, leaf_volumes(partition, lam))
+        trees.append(DensityTree(partition=partition, lam=lam, heights=heights))
     ln_z = log_normalizer_for(trees, integration)
     return DensityModel(trees=tuple(trees), log_normalizer=ln_z,
                         integration=integration)

@@ -15,11 +15,11 @@ from typing import IO
 
 import numpy as np
 
-from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError, tree_streams
+from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError
 from .core import diameter as cell_diameter
 from .forest import Forest, fit_forest, predict_batch
 from .losses import LossSpec, default_value_box
-from .partition import cell_of, leaf_count_at, sample_partition
+from .partition import cell_of, leaf_count_at, sample_forest
 from .selection import default_lambda_max, fit_forest_auto
 from .synth import TargetFunction, generate, true_excess_risk
 
@@ -205,8 +205,7 @@ def partition_stats(dimension: int, lam: float, tree_count: int,
     center = np.full(dimension, 0.5)
     counts = np.empty(tree_count)
     diams = np.empty(tree_count)
-    for b, rng in enumerate(tree_streams(seed, tree_count)):
-        tree = sample_partition(dimension, lam, rng, stream_id=f"{seed}/{b}")
+    for b, tree in enumerate(sample_forest(dimension, lam, seed, tree_count)):
         counts[b] = leaf_count_at(tree, lam)
         diams[b] = cell_diameter(cell_of(tree, lam, center))
     def se(v: np.ndarray) -> float:

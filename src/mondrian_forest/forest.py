@@ -15,10 +15,9 @@ from .core import (
     ValueBox,
     as_point,
     as_points,
-    tree_streams,
 )
 from .losses import LossSpec, is_surrogate
-from .partition import load_model, sample_partition, save_model, tree_from_obj, tree_to_obj
+from .partition import load_model, sample_forest, save_model, tree_from_obj, tree_to_obj
 from .tree import FittedTree, fit_tree, predict_tree_batch
 
 DEFAULT_TREE_COUNT = 100
@@ -42,14 +41,10 @@ def fit_forest(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
     if not isinstance(config.lambda_mode, FixedLambda):
         raise InputError("fit_forest requires FixedLambda mode; use fit_forest_auto")
     lam = config.lambda_mode.value
-    streams = tree_streams(config.seed, config.tree_count)
-    trees = []
-    for b, rng in enumerate(streams):
-        partition = sample_partition(
-            data.dimension, lam, rng, leaf_cap=config.leaf_cap,
-            stream_id=f"{config.seed}/{b}")
-        trees.append(fit_tree(partition, lam, data, spec, config.value_box))
-    return Forest(trees=tuple(trees), spec=spec, config=config)
+    trees = tuple(fit_tree(partition, lam, data, spec, config.value_box)
+                  for partition in sample_forest(data.dimension, lam, config.seed,
+                                                 config.tree_count, config.leaf_cap))
+    return Forest(trees=trees, spec=spec, config=config)
 
 
 def predict_batch(forest: Forest, xs) -> np.ndarray:
@@ -78,27 +73,6 @@ def classify(forest: Forest, x) -> int:
     return int(classify_batch(forest, point.reshape(1, -1))[0])
 
 
-def _spec_to_obj(spec: LossSpec) -> dict:
-    obj: dict = {"family": spec.family}
-    if spec.tau is not None:
-        obj["tau"] = spec.tau
-    if spec.delta is not None:
-        obj["delta"] = spec.delta
-    if spec.value_domain is not None:
-        obj["value_domain"] = [spec.value_domain.lo, spec.value_domain.hi]
-    return obj
-
-
-def _spec_from_obj(obj: dict) -> LossSpec:
-    domain = obj.get("value_domain")
-    return LossSpec(
-        family=str(obj["family"]),
-        tau=obj.get("tau"),
-        delta=obj.get("delta"),
-        value_domain=ValueBox(float(domain[0]), float(domain[1])) if domain else None,
-    )
-
-
 def forest_to_obj(forest: Forest) -> dict:
     cfg = forest.config
     if isinstance(cfg.lambda_mode, FixedLambda):
@@ -109,7 +83,8 @@ def forest_to_obj(forest: Forest) -> dict:
     return {
         "format": SERIAL_FORMAT,
         "dimension": forest.dimension,
-        "loss": _spec_to_obj(forest.spec),
+        "loss": {key: value for key, value in vars(forest.spec).items()
+                 if value is not None},
         "box": [cfg.value_box.lo, cfg.value_box.hi],
         "seed": cfg.seed,
         "leaf_cap": cfg.leaf_cap,
@@ -124,7 +99,7 @@ def forest_from_obj(obj: dict) -> Forest:
     try:
         dimension = int(obj["dimension"])
         tree_objs = list(obj["trees"])
-        spec = _spec_from_obj(obj["loss"])
+        spec = LossSpec(**obj["loss"])
         box = ValueBox(float(obj["box"][0]), float(obj["box"][1]))
         mode_obj = obj["lambda_mode"]
         if mode_obj["mode"] == "fixed":
@@ -140,8 +115,7 @@ def forest_from_obj(obj: dict) -> Forest:
         raise
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed forest object: {exc!r}") from exc
-    trees = tuple(FittedTree(*tree_from_obj(t, dimension, box), loss=spec, box=box)
-                  for t in tree_objs)
+    trees = tuple(FittedTree(*tree_from_obj(t, dimension, box)) for t in tree_objs)
     return Forest(trees=trees, spec=spec, config=config)
 
 

@@ -34,16 +34,14 @@ ALL_FAMILIES = REGRESSION_FAMILIES + EXPFAMILY_FAMILIES + SURROGATE_FAMILIES + (
 class LossSpec:
     """A loss family plus its parameters.
 
-    ``value_domain`` optionally restricts where the loss may be evaluated;
-    when unset, only the family's natural domain is enforced (open
+    Values are checked against the family's natural domain: open
     (-1/2, 1/2) for the shifted Bernoulli, negative reals for the
-    geometric, all reals otherwise).
+    geometric, all reals otherwise.
     """
 
     family: str
     tau: float | None = None
     delta: float | None = None
-    value_domain: ValueBox | None = None
 
     def __post_init__(self) -> None:
         if self.family not in ALL_FAMILIES:
@@ -60,8 +58,6 @@ class LossSpec:
             object.__setattr__(self, "delta", float(self.delta))
         elif self.delta is not None:
             raise InputError(f"delta is only valid for the huber family")
-        if self.value_domain is not None and not isinstance(self.value_domain, ValueBox):
-            raise InputError("value_domain must be a ValueBox")
 
 
 def is_surrogate(spec: LossSpec) -> bool:
@@ -92,7 +88,7 @@ def validate_responses(spec: LossSpec, ys) -> np.ndarray:
 
 
 def check_values(spec: LossSpec, v: np.ndarray) -> None:
-    """Check that candidate values lie in the family's and the spec's value domain."""
+    """Check that candidate values lie in the family's value domain."""
     if not np.all(np.isfinite(v)):
         raise InputError("loss evaluated at non-finite value")
     fam = spec.family
@@ -102,9 +98,6 @@ def check_values(spec: LossSpec, v: np.ndarray) -> None:
     elif fam == "geometric":
         if v.size and np.any(v >= 0.0):
             raise InputError("geometric values must be strictly negative")
-    if spec.value_domain is not None and v.size:
-        if not spec.value_domain.holds(v):
-            raise InputError("value outside the configured value domain")
 
 
 def _phi(k: int, u: np.ndarray) -> np.ndarray:

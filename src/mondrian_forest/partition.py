@@ -10,7 +10,8 @@ coarser partition at any earlier time ``lam <= horizon`` can be read off by
 ignoring splits born after ``lam``.
 
 A genealogy is held as flat arrays over its nodes (see :class:`PartitionTree`);
-cells are derived from them only when asked for.
+cells are derived from them only when asked for. :func:`sample_forest` is
+the one place that turns a forest's master seed into per-tree streams.
 
 Threshold ownership is half-open and matches :func:`mondrian_forest.core.contains`:
 the left child is ``[lo, S)`` and the right child ``[S, hi]`` along the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -175,6 +177,28 @@ def sample_partition(dimension: int, horizon: float,
                          stream_id="anonymous" if stream_id is None else stream_id)
 
 
+def sample_forest(dimension: int, horizon: float, seed: int, tree_count: int,
+                  leaf_cap: int = DEFAULT_LEAF_CAP) -> Iterator[PartitionTree]:
+    """The genealogies of a forest's ``tree_count`` trees, one at a time.
+
+    Tree ``b`` draws from the ``b``-th of ``tree_count`` children of
+    ``SeedSequence(seed)`` and is named ``"{seed}/{b}"``. A child does not
+    depend on how many siblings it has, so tree ``b`` is the same in every
+    forest of more than ``b`` trees. A tree over ``leaf_cap`` raises
+    :class:`ResourceError` naming the tree.
+    """
+    if not 0 <= int(seed) < 2**64:
+        raise InputError("seed must be a 64-bit unsigned integer")
+    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
+    for b, child in enumerate(children):
+        try:
+            partition = sample_partition(dimension, horizon, np.random.default_rng(child),
+                                         leaf_cap=leaf_cap, stream_id=f"{seed}/{b}")
+        except ResourceError as exc:
+            raise ResourceError(f"tree {b}: {exc}") from exc
+        yield partition
+
+
 def _check_lambda(tree: PartitionTree, lam: float) -> float:
     if not 0.0 <= lam <= tree.horizon:
         raise InputError(f"lambda {lam} is outside [0, tree horizon {tree.horizon}]")
@@ -252,20 +276,17 @@ def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
     nodes = leaf_nodes(tree, lam)
     leaf_id[nodes] = np.arange(nodes.shape[0])
     out = np.empty(points.shape[0], dtype=np.int64)
-
-    def assign(node: int, idx: np.ndarray) -> None:
+    # a stack, not a recursive closure: see node_members
+    stack = [(0, np.arange(points.shape[0]))] if points.shape[0] else []
+    while stack:
+        node, idx = stack.pop()
         if leaf_id[node] >= 0:
             out[idx] = leaf_id[node]
-            return
+            continue
         go_left = points[idx, tree.split_dim[node]] < tree.threshold[node]
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        if left_idx.size:
-            assign(node + 1, left_idx)
-        if right_idx.size:
-            assign(tree.right[node], right_idx)
-
-    if points.shape[0]:
-        assign(0, np.arange(points.shape[0]))
+        for child, part in ((node + 1, idx[go_left]), (tree.right[node], idx[~go_left])):
+            if part.size:
+                stack.append((child, part))
     return out
 
 

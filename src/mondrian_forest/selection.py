@@ -26,14 +26,12 @@ from .core import (
     Dataset,
     FitConfig,
     InputError,
-    ResourceError,
     ValueBox,
-    tree_streams,
 )
 from .forest import Forest
 from .leaf_fit import fit_groups
 from .losses import LossSpec
-from .partition import PartitionTree, leaf_nodes, node_members, sample_partition
+from .partition import PartitionTree, leaf_nodes, node_members, sample_forest
 from .tree import FittedTree
 
 DEFAULT_ALPHA = 0.1
@@ -105,17 +103,11 @@ def fit_forest_auto(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
     if not isinstance(config.lambda_mode, AutoLambda):
         raise InputError("fit_forest_auto requires AutoLambda mode")
     mode = config.lambda_mode
-    streams = tree_streams(config.seed, config.tree_count)
     trees: list[FittedTree] = []
-    for b, rng in enumerate(streams):
-        try:
-            partition = sample_partition(
-                data.dimension, mode.lambda_max, rng, leaf_cap=config.leaf_cap,
-                stream_id=f"{config.seed}/{b}")
-        except ResourceError as exc:
-            raise ResourceError(f"tree {b}: {exc}") from exc
+    for partition in sample_forest(data.dimension, mode.lambda_max, config.seed,
+                                   config.tree_count, config.leaf_cap):
         path = penalty_path(partition, data, spec, config.value_box, mode.alpha)
         values = path.node_values[leaf_nodes(partition, path.lambda_star)]
         trees.append(FittedTree(partition=partition, lam=path.lambda_star,
-                                leaf_values=values, loss=spec, box=config.value_box))
+                                leaf_values=values))
     return Forest(trees=tuple(trees), spec=spec, config=config)

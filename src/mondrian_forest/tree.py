@@ -14,13 +14,15 @@ from .partition import PartitionTree, leaf_count_at, locate, locate_batch
 
 @dataclass(frozen=True)
 class FittedTree:
-    """A partition pruned at time ``lam`` with one fitted constant per leaf."""
+    """A partition pruned at time ``lam`` with one fitted constant per leaf.
+
+    The loss and the value box of the fit belong to the forest
+    (``Forest.spec`` and ``Forest.config.value_box``).
+    """
 
     partition: PartitionTree
     lam: float
     leaf_values: np.ndarray
-    loss: LossSpec
-    box: ValueBox
 
 
 def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
@@ -42,8 +44,7 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
     else:
         ids = locate_batch(partition, lam, data.points)
         values, _ = fit_groups(spec, ids, data.require_responses(), box, leaf_count)
-    return FittedTree(partition=partition, lam=float(lam), leaf_values=values,
-                      loss=spec, box=box)
+    return FittedTree(partition=partition, lam=float(lam), leaf_values=values)
 
 
 def predict_tree(tree: FittedTree, x) -> float:
@@ -56,26 +57,11 @@ def predict_tree_batch(tree: FittedTree, xs) -> np.ndarray:
     return tree.leaf_values[ids]
 
 
-def _predictions(estimator, xs) -> np.ndarray:
-    """Batch predictions from a FittedTree, a Forest-like object, or a callable."""
-    if isinstance(estimator, FittedTree):
-        return predict_tree_batch(estimator, xs)
-    if hasattr(estimator, "trees"):
-        from .forest import predict_batch  # local import to avoid a cycle
-
-        return predict_batch(estimator, xs)
-    if callable(estimator):
-        return np.asarray(estimator(xs), dtype=float).reshape(-1)
-    raise InputError(f"cannot predict with object of type {type(estimator).__name__}")
-
-
-def empirical_risk(estimator, data: Dataset, spec: LossSpec) -> float:
-    """Mean loss of ``estimator`` over a nonempty dataset."""
+def empirical_risk(tree: FittedTree, data: Dataset, spec: LossSpec) -> float:
+    """Mean loss of ``tree`` over a nonempty dataset."""
     if data.n < 1:
         raise InputError("empirical risk requires at least one observation")
-    preds = _predictions(estimator, data.points)
-    if preds.shape[0] != data.n:
-        raise InputError("estimator returned a wrong number of predictions")
+    preds = predict_tree_batch(tree, data.points)
     if spec.family == "density":
         losses = loss_eval(spec, preds)
     else:

@@ -187,6 +187,17 @@ def test_select_lambda_file_output(tmp_path, capsys):
     assert rows
 
 
+def test_select_lambda_prints_the_auto_fit_first_tree_lambda(tmp_path, capsys):
+    data_csv, model = tmp_path / "data.csv", tmp_path / "model.txt"
+    main(["gen", "--task", "gaussian", "--n", "150", "--seed", "12", "--out", str(data_csv)])
+    flags = ["--input", str(data_csv), "--loss", "huber:0.5", "--alpha", "0.01", "--seed", "4"]
+    capsys.readouterr()
+    assert main(["select-lambda", *flags]) == 0
+    star = float(capsys.readouterr().out.strip().splitlines()[-1].split("=")[1])
+    assert main(["fit", "--auto", "--trees", "3", "--out", str(model), *flags]) == 0
+    assert load_forest(str(model)).trees[0].lam == star
+
+
 def test_density_cli(tmp_path):
     data_csv = tmp_path / "points.csv"
     model = tmp_path / "dens.txt"
@@ -244,6 +255,41 @@ def test_exit_code_input_errors(tmp_path):
     bad.write_text("x1,y\n0.5,oops\n")
     assert main(["fit", "--input", str(bad), "--loss", "l2",
                  "--lambda", "1.0", "--out", str(tmp_path / "m.txt")]) == 2
+    points_2d = tmp_path / "points.csv"
+    points_2d.write_text("x1,x2\n0.2,0.3\n0.7,0.6\n")
+    density = ["density", "--input", str(points_2d), "--lambda", "1.0", "--trees", "2",
+               "--out", str(tmp_path / "d.txt")]
+    assert main([*density, "--grid-points", "0"]) == 2
+    assert main([*density, "--eval-grid", "-1", "--eval-out", str(tmp_path / "e.csv")]) == 2
+
+
+SEED_COMMANDS = {
+    "gen": ["gen", "--task", "gaussian", "--n", "20", "--out", "{out}"],
+    "converge": ["converge", "--task", "gaussian", "--n-grid", "20,40", "--reps", "1",
+                 "--trees", "1", "--test-points", "10", "--out", "{out}"],
+    "density": ["density", "--input", "{points}", "--lambda", "1.0", "--trees", "2",
+                "--out", "{out}"],
+    "partition-stats": ["partition-stats", "--d", "1", "--lambda", "1.0", "--m-trees", "100"],
+    "select-lambda": ["select-lambda", "--input", "{data}", "--loss", "l2"],
+    "fit": ["fit", "--input", "{data}", "--loss", "l2", "--lambda", "1.0", "--trees", "2",
+            "--out", "{out}"],
+}
+BAD_SEEDS = [(command, "-1") for command in SEED_COMMANDS if command != "fit"] + \
+    [("density", str(2**64)), ("fit", str(2**64))]
+
+
+@pytest.mark.parametrize("command,seed", BAD_SEEDS, ids=[f"{c} {s}" for c, s in BAD_SEEDS])
+def test_seed_outside_64_bits_is_an_input_error(tmp_path, command, seed):
+    paths = {"out": tmp_path / "out", "points": tmp_path / "points.csv",
+             "data": tmp_path / "data.csv"}
+    paths["points"].write_text("x1\n0.2\n0.7\n")
+    paths["data"].write_text("x1,y\n0.2,1.0\n0.7,2.0\n")
+    argv = [arg.format(**paths) for arg in SEED_COMMANDS[command]]
+    proc = subprocess.run([sys.executable, "-m", "mondrian_forest", *argv, "--seed", seed],
+                          capture_output=True, text=True, env=os.environ.copy())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--seed" in proc.stderr
 
 
 def test_exit_code_numeric_error(tmp_path):
@@ -342,6 +388,8 @@ MALFORMED_MODELS = [
     ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
     ("density", "lambda above the horizon", _edit(lambda t, p: t.update({"lambda": p["horizon"] + 1.0}))),
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
+    ("density", "integration grid of -5 points",
+     lambda m: {**m, "integration": {"method": "grid", "point_count": -5, "seed": 0}}),
     ("dataset", "not ASCII", lambda m: b"x1,y\n\xff,1\n"),
 ]
 

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 
 from mondrian_forest import (
+    AutoLambda,
     Dataset,
     FitConfig,
     FixedLambda,
     Forest,
     InputError,
     LossSpec,
+    ResourceError,
     ValueBox,
     classify,
     classify_batch,
+    fit_density_forest,
     fit_forest,
+    fit_forest_auto,
     fit_tree,
     load_forest,
     predict,
     predict_batch,
     predict_tree,
     predict_tree_batch,
+    sample_forest,
     sample_partition,
     save_forest,
 )
@@ -51,6 +56,32 @@ def test_single_tree_forest_equals_tree():
     xs = np.random.default_rng(3).random((300, 1))
     assert np.array_equal(predict_batch(forest, xs),
                           predict_tree_batch(forest.trees[0], xs))
+
+
+def test_every_fit_draws_tree_b_from_the_same_stream():
+    data = gaussian_data(7, 200)
+    spec, box, h, seed = LossSpec("squared"), ValueBox(-5, 5), 4.0, 23
+    forests = [
+        fit_forest(data, spec, FitConfig(3, FixedLambda(h), box, seed)),
+        fit_forest_auto(data, spec, FitConfig(3, AutoLambda(0.1, h), box, seed)),
+        fit_density_forest(data.points, h, 3, seed, box),
+    ]
+    alone = list(sample_forest(1, h, seed, 5))
+    for forest in forests:
+        for tree, expected in zip(forest.trees, alone):
+            assert tree.partition.stream_id == expected.stream_id
+            for name in ("horizon", "split_dim", "threshold", "birth_time"):
+                assert np.array_equal(getattr(tree.partition, name), getattr(expected, name),
+                                      equal_nan=True)
+    capped = [
+        lambda: fit_forest(data, spec, FitConfig(3, FixedLambda(20.0), box, seed, leaf_cap=4)),
+        lambda: fit_forest_auto(data, spec,
+                                FitConfig(3, AutoLambda(0.1, 20.0), box, seed, leaf_cap=4)),
+        lambda: fit_density_forest(data.points, 20.0, 3, seed, box, leaf_cap=4),
+    ]
+    for fit in capped:
+        with pytest.raises(ResourceError, match=r"^tree 0: "):
+            fit()
 
 
 def test_same_seed_identical_predictions():

