@@ -20,10 +20,8 @@ from .core import (
     ValueBox,
     contains,
     diameter,
-    linear_size,
     load_dataset_csv,
     save_dataset_csv,
-    unit_cell,
     volume,
 )
 from .density import (
@@ -63,7 +61,6 @@ from .leaf_fit import LeafFitResult, fit_leaf, golden_section_min
 from .losses import LossSpec, default_value_box, loss_eval
 from .partition import (
     PartitionTree,
-    cell_of,
     leaf_count_at,
     leaves_at,
     locate,

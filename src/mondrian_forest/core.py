@@ -100,17 +100,6 @@ class Cell:
         return np.asarray(self.hi, dtype=float) - np.asarray(self.lo, dtype=float)
 
 
-def unit_cell(dimension: int) -> Cell:
-    if dimension < 1:
-        raise InputError("dimension must be >= 1")
-    return Cell(lo=(0.0,) * dimension, hi=(1.0,) * dimension)
-
-
-def linear_size(cell: Cell) -> float:
-    """Sum of the side lengths of ``cell`` (the split-rate measure of a cell)."""
-    return float(sum(b - a for a, b in zip(cell.lo, cell.hi)))
-
-
 def volume(cell: Cell) -> float:
     out = 1.0
     for a, b in zip(cell.lo, cell.hi):

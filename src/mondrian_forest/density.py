@@ -47,7 +47,7 @@ from .partition import (
 
 DEFAULT_GRID_POINTS = 2**15
 
-SERIAL_FORMAT = "mondrian-density-v2"
+SERIAL_FORMAT = "mondrian-density-v3"
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,12 @@ class GridMC:
 
 @dataclass(frozen=True)
 class DensityTree:
-    partition: PartitionTree
-    lam: float
+    partition: PartitionTree  # sampled up to the horizon lam the tree is fitted at
     heights: np.ndarray  # recentered, indexed by leaf id at lam
+
+    @property
+    def lam(self) -> float:
+        return self.partition.horizon
 
 
 @dataclass(frozen=True)
@@ -227,8 +230,7 @@ def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
     """Sorted union of all 1-d trees' cell boundaries: 0, 1 and the thresholds in use."""
     edges = [np.array([0.0, 1.0])]
     for tree in trees:
-        born = tree.partition.birth_time <= tree.lam
-        edges.append(tree.partition.threshold[born])
+        edges.append(tree.partition.threshold[tree.partition.split_dim >= 0])
     return np.unique(np.concatenate(edges))
 
 
@@ -277,7 +279,7 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
     for partition in sample_forest(dimension, lam, seed, tree_count, leaf_cap):
         heights = fit_density_tree(partition, lam, points, box)
         heights = recenter(heights, leaf_volumes(partition, lam))
-        trees.append(DensityTree(partition=partition, lam=lam, heights=heights))
+        trees.append(DensityTree(partition=partition, heights=heights))
     ln_z = log_normalizer_for(trees, integration)
     return DensityModel(trees=tuple(trees), log_normalizer=ln_z,
                         integration=integration)
@@ -332,7 +334,8 @@ def density_model_from_obj(obj: dict) -> DensityModel:
         raise InputError("density log normalizer must be finite")
     if not tree_objs:
         raise InputError("density model has no trees")
-    trees = tuple(DensityTree(*tree_from_obj(t, dimension)) for t in tree_objs)
+    trees = tuple(DensityTree(partition, heights) for partition, _, heights in
+                  (tree_from_obj(t, dimension) for t in tree_objs))
     return DensityModel(trees=trees, log_normalizer=log_z, integration=integration)
 
 

@@ -16,10 +16,9 @@ from typing import IO
 import numpy as np
 
 from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError
-from .core import diameter as cell_diameter
 from .forest import Forest, fit_forest, predict_batch
 from .losses import LossSpec, default_value_box
-from .partition import cell_of, leaf_count_at, sample_forest
+from .partition import leaf_bounds, leaf_count_at, locate_batch, sample_forest
 from .selection import default_lambda_max, fit_forest_auto
 from .synth import TargetFunction, generate, true_excess_risk
 
@@ -87,10 +86,9 @@ class ExperimentSpec:
             raise InputError("n_grid must be strictly ascending and nonempty")
         if min(self.n_grid) < 2:
             raise InputError("sample sizes must be >= 2")
-        if self.replications < 1:
-            raise InputError("replications must be >= 1")
-        if self.tree_count < 1:
-            raise InputError("tree_count must be >= 1")
+        for count in ("replications", "tree_count", "test_points"):
+            if getattr(self, count) < 1:
+                raise InputError(f"{count} must be >= 1")
         if self.task == "quantile" and self.tau is None:
             raise InputError("quantile task requires tau")
 
@@ -202,12 +200,13 @@ def partition_stats(dimension: int, lam: float, tree_count: int,
     """
     if tree_count < 100:
         raise InputError("partition statistics need at least 100 trees")
-    center = np.full(dimension, 0.5)
+    center = np.full((1, dimension), 0.5)
     counts = np.empty(tree_count)
     diams = np.empty(tree_count)
     for b, tree in enumerate(sample_forest(dimension, lam, seed, tree_count)):
         counts[b] = leaf_count_at(tree, lam)
-        diams[b] = cell_diameter(cell_of(tree, lam, center))
+        lo, hi = leaf_bounds(tree, lam)
+        diams[b] = np.sqrt(np.sum((hi - lo)[locate_batch(tree, lam, center)[0]] ** 2))
     def se(v: np.ndarray) -> float:
         return float(np.std(v, ddof=1) / math.sqrt(tree_count)) if tree_count > 1 else 0.0
     return (float(counts.mean()), se(counts), float(diams.mean()), se(diams))

@@ -22,7 +22,7 @@ from .tree import FittedTree, fit_tree, predict_tree_batch
 
 DEFAULT_TREE_COUNT = 100
 
-SERIAL_FORMAT = "mondrian-forest-v2"
+SERIAL_FORMAT = "mondrian-forest-v3"
 
 
 @dataclass(frozen=True)

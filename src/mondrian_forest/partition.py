@@ -18,14 +18,16 @@ the left child is ``[lo, S)`` and the right child ``[S, hi]`` along the
 split dimension.
 
 The module also holds the codec of the model files: one JSON object per
-file, and per tree ``{lambda, values, partition}`` with the arrays flat.
+file, and per tree ``{values, partition}`` with the arrays flat. A tree is
+stored pruned at its horizon (:func:`prune`), so the stored genealogy's
+horizon is the tree's ``lambda`` and no split born after it is kept.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -39,7 +41,6 @@ from .core import (
     ValueBox,
     as_point,
     as_points,
-    contains,
 )
 
 
@@ -205,18 +206,40 @@ def _check_lambda(tree: PartitionTree, lam: float) -> float:
     return float(lam)
 
 
-def leaf_nodes(tree: PartitionTree, lam: float) -> np.ndarray:
-    """Node of each leaf id of the time-``lam`` partition (leaves in pre-order).
+def _reached(tree: PartitionTree, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the nodes in the time-``lam`` tree and of those split by ``lam``.
 
-    Birth times never decrease down a path, so the leaves are the nodes not
-    split by ``lam`` whose parent is.
-    """
+    Birth times never decrease down a path, so the tree holds the root and
+    every child of a node split by ``lam``."""
     split = tree.birth_time <= _check_lambda(tree, lam)
     parents = np.flatnonzero(tree.split_dim >= 0)
     reached = np.ones(tree.split_dim.shape[0], dtype=bool)
     reached[parents + 1] = split[parents]
     reached[tree.right[parents]] = split[parents]
+    return reached, split
+
+
+def leaf_nodes(tree: PartitionTree, lam: float) -> np.ndarray:
+    """Node of each leaf id of the time-``lam`` partition (leaves in pre-order)."""
+    reached, split = _reached(tree, lam)
     return np.flatnonzero(reached & ~split)
+
+
+def prune(tree: PartitionTree, lam: float) -> tuple[PartitionTree, np.ndarray]:
+    """The genealogy up to ``lam``, with horizon ``lam``, and the pre-order
+    indices in ``tree`` of the nodes it keeps; ``tree`` itself at its horizon.
+
+    A Mondrian process stopped at ``lam`` is the process sampled up to ``lam``,
+    so the pruned tree has the same time-``lam`` leaves, in the same order.
+    """
+    if lam == tree.horizon:
+        return tree, np.arange(tree.split_dim.shape[0])
+    reached, split = _reached(tree, lam)
+    kept = np.flatnonzero(reached)
+    split = split[kept]
+    return replace(tree, horizon=float(lam), split_dim=np.where(split, tree.split_dim[kept], -1),
+                   threshold=np.where(split, tree.threshold[kept], math.nan),
+                   birth_time=np.where(split, tree.birth_time[kept], math.inf)), kept
 
 
 def leaf_count_at(tree: PartitionTree, lam: float) -> int:
@@ -270,7 +293,6 @@ def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
     to its child. An empty half is not followed, so one point costs one
     root-to-leaf path.
     """
-    lam = _check_lambda(tree, lam)
     points = as_points(xs, dimension=tree.dimension)
     leaf_id = np.full(tree.split_dim.shape[0], -1, dtype=np.int64)
     nodes = leaf_nodes(tree, lam)
@@ -324,16 +346,6 @@ def node_members(tree: PartitionTree, xs) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.asarray(nodes, dtype=np.int64), sizes), np.concatenate(members)
 
 
-def cell_of(tree: PartitionTree, lam: float, x) -> Cell:
-    """The leaf cell of the time-``lam`` partition containing ``x``."""
-    lo, hi = leaf_bounds(tree, lam)
-    k = locate(tree, lam, x)
-    cell = Cell(lo=tuple(lo[k].tolist()), hi=tuple(hi[k].tolist()))
-    if not contains(cell, x):
-        raise NumericError("descent reached a cell that does not contain the point")
-    return cell
-
-
 def partition_to_obj(tree: PartitionTree) -> dict:
     """The genealogy's arrays; thresholds and birth times of splits only."""
     splits = tree.split_dim >= 0
@@ -371,34 +383,32 @@ def partition_from_obj(obj: dict) -> PartitionTree:
 
 
 def tree_to_obj(partition: PartitionTree, lam: float, values) -> dict:
-    """One fitted tree: its horizon, a value per leaf at that horizon, its genealogy."""
+    """One fitted tree: a value per leaf at ``lam``, and its genealogy pruned at ``lam``."""
     return {
-        "lambda": float(lam),
         "values": np.asarray(values, dtype=float).tolist(),
-        "partition": partition_to_obj(partition),
+        "partition": partition_to_obj(prune(partition, lam)[0]),
     }
 
 
 def tree_from_obj(obj: dict, dimension: int,
                   box: ValueBox | None = None) -> tuple[PartitionTree, float, np.ndarray]:
-    """Read :func:`tree_to_obj` output as (partition, lambda, values), checking
-    that there is one finite value per leaf at ``lambda``, inside ``box`` if given."""
+    """Read :func:`tree_to_obj` output as (partition, its horizon, values),
+    checking that there is one finite value per leaf, inside ``box`` if given."""
     try:
         partition_obj = obj["partition"]
-        lam = float(obj["lambda"])
         values = np.asarray(obj["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed tree object: {exc!r}") from exc
     partition = partition_from_obj(partition_obj)
     if partition.dimension != dimension:
         raise InputError(f"tree dimension {partition.dimension} is not the model's {dimension}")
-    leaf_count = leaf_count_at(partition, lam)
+    leaf_count = leaf_count_at(partition, partition.horizon)
     if values.shape != (leaf_count,):
         raise InputError(f"tree has {values.size} values for {leaf_count} leaves")
     if not np.all(np.isfinite(values)) or (box is not None and not box.holds(values)):
         raise InputError("tree values must be finite and inside the value box")
     values.flags.writeable = False
-    return partition, lam, values
+    return partition, partition.horizon, values
 
 
 def save_model(obj: dict, path) -> None:

@@ -31,7 +31,7 @@ from .core import (
 from .forest import Forest
 from .leaf_fit import fit_groups
 from .losses import LossSpec
-from .partition import PartitionTree, leaf_nodes, node_members, sample_forest
+from .partition import PartitionTree, node_members, prune, sample_forest
 from .tree import FittedTree
 
 DEFAULT_ALPHA = 0.1
@@ -41,9 +41,9 @@ DEFAULT_ALPHA = 0.1
 class PenaltyPath:
     """Risk and penalty evaluated at every candidate horizon of one tree.
 
-    ``node_values`` holds every genealogy node's fitted value, so the tree
-    at horizon ``lam`` has the leaf values
-    ``node_values[leaf_nodes(partition, lam)]``.
+    ``node_values`` holds every genealogy node's fitted value. With
+    ``pruned, kept = prune(partition, lam)``, the tree at horizon ``lam``
+    has the leaf values ``node_values[kept][pruned.split_dim < 0]``.
     """
 
     breakpoints: np.ndarray
@@ -96,9 +96,9 @@ def penalty_path(partition: PartitionTree, data: Dataset, spec: LossSpec,
 def fit_forest_auto(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
     """Fit a forest whose trees each select their own horizon by penalty.
 
-    Every tree's genealogy is sampled up to ``lambda_max``; the tree is
-    then pruned at its penalized-risk minimizer and takes its leaf values
-    from the path's node fits.
+    Every tree's genealogy is sampled up to ``lambda_max``; the tree keeps
+    it only up to its penalized-risk minimizer and takes its leaf values
+    from the path's node fits, so the full genealogy is freed tree by tree.
     """
     if not isinstance(config.lambda_mode, AutoLambda):
         raise InputError("fit_forest_auto requires AutoLambda mode")
@@ -107,7 +107,8 @@ def fit_forest_auto(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
     for partition in sample_forest(data.dimension, mode.lambda_max, config.seed,
                                    config.tree_count, config.leaf_cap):
         path = penalty_path(partition, data, spec, config.value_box, mode.alpha)
-        values = path.node_values[leaf_nodes(partition, path.lambda_star)]
-        trees.append(FittedTree(partition=partition, lam=path.lambda_star,
+        pruned, kept = prune(partition, path.lambda_star)
+        values = path.node_values[kept][pruned.split_dim < 0]
+        trees.append(FittedTree(partition=pruned, lam=path.lambda_star,
                                 leaf_values=values))
     return Forest(trees=tuple(trees), spec=spec, config=config)

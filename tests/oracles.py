@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from mondrian_forest import (
+    Cell,
     Dataset,
+    InputError,
     LossSpec,
     PartitionTree,
     ValueBox,
@@ -18,9 +20,54 @@ from mondrian_forest import (
     empirical_risk,
     fit_tree,
     leaves_at,
+    locate,
     loss_eval,
     split_times,
 )
+from mondrian_forest.partition import leaf_bounds
+
+
+def unit_cell(dimension: int) -> Cell:
+    if dimension < 1:
+        raise InputError("dimension must be >= 1")
+    return Cell(lo=(0.0,) * dimension, hi=(1.0,) * dimension)
+
+
+def linear_size(cell: Cell) -> float:
+    """Sum of the side lengths of ``cell`` (the split-rate measure of a cell)."""
+    return float(sum(b - a for a, b in zip(cell.lo, cell.hi)))
+
+
+def cell_of(tree: PartitionTree, lam: float, x) -> Cell:
+    """The leaf cell of the time-``lam`` partition that ``locate`` gives for ``x``."""
+    lo, hi = leaf_bounds(tree, lam)
+    k = locate(tree, lam, x)
+    cell = Cell(lo=tuple(lo[k].tolist()), hi=tuple(hi[k].tolist()))
+    if not contains(cell, x):
+        raise AssertionError(f"descent for {x!r} reached a cell that does not contain it")
+    return cell
+
+
+def leaf_cells_walk(tree: PartitionTree, lam: float) -> list[Cell]:
+    """The time-``lam`` leaf cells in pre-order, by a recursive walk of the
+    node arrays that cuts each cell itself and finds each right child as the
+    node after its left subtree."""
+    cells: list[Cell] = []
+
+    def walk(node: int, lo: list[float], hi: list[float], in_tree: bool) -> int:
+        dim = int(tree.split_dim[node])
+        splits = dim >= 0 and float(tree.birth_time[node]) <= lam
+        if in_tree and not splits:
+            cells.append(Cell(tuple(lo), tuple(hi)))
+        if dim < 0:
+            return node + 1
+        t = float(tree.threshold[node])
+        after_left = walk(node + 1, lo, hi[:dim] + [t] + hi[dim + 1:], in_tree and splits)
+        return walk(after_left, lo[:dim] + [t] + lo[dim + 1:], hi, in_tree and splits)
+
+    if walk(0, [0.0] * tree.dimension, [1.0] * tree.dimension, True) != tree.split_dim.size:
+        raise AssertionError("the walk did not end at the last node")
+    return cells
 
 
 def grid_minimum(spec: LossSpec, ys, box: ValueBox,

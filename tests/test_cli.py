@@ -243,7 +243,7 @@ def test_partition_stats_cli(capsys):
     assert se_diam >= 0.0
 
 
-def test_exit_code_input_errors(tmp_path):
+def test_exit_code_input_errors(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     main(["gen", "--task", "gaussian", "--n", "30", "--out", str(data_csv)])
     assert main(["fit", "--input", str(data_csv), "--loss", "nope",
@@ -261,6 +261,14 @@ def test_exit_code_input_errors(tmp_path):
                "--out", str(tmp_path / "d.txt")]
     assert main([*density, "--grid-points", "0"]) == 2
     assert main([*density, "--eval-grid", "-1", "--eval-out", str(tmp_path / "e.csv")]) == 2
+    converge = ["converge", "--task", "gaussian", "--n-grid", "20,40", "--reps", "1",
+                "--trees", "1", "--out", str(tmp_path / "c.csv")]
+    capsys.readouterr()
+    assert main([*converge, "--test-points", "-3"]) == 2
+    assert main([*converge, "--test-points", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: test_points must be >= 1") == 2
+    assert "Traceback" not in err
 
 
 SEED_COMMANDS = {
@@ -364,14 +372,21 @@ def _edit(fn):
     return mutate
 
 
+def _as_v2(model, kind):
+    # v2 stored each tree's lambda beside its genealogy's horizon
+    for tree in model["trees"]:
+        tree["lambda"] = tree["partition"]["horizon"]
+    return {**model, "format": f"mondrian-{kind}-v2"}
+
+
 MALFORMED_MODELS = [
     ("forest", "v1 format", lambda m: {**m, "format": "mondrian-forest-v1"}),
+    ("forest", "v2 file", lambda m: _as_v2(m, "forest")),
     ("forest", "values cut short", _edit(lambda t, p: t.update(values=t["values"][:-1]))),
     ("forest", "one value too many", _edit(lambda t, p: t["values"].append(0.0))),
     ("forest", "value outside the box", _edit(lambda t, p: t["values"].__setitem__(0, 1e300))),
     ("forest", "value not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.nan))),
     ("forest", "values not numbers", _edit(lambda t, p: t.update(values="abc"))),
-    ("forest", "lambda above the horizon", _edit(lambda t, p: t.update({"lambda": p["horizon"] + 1.0}))),
     ("forest", "split dimension out of range", _edit(lambda t, p: p["split_dim"].__setitem__(0, 1))),
     ("forest", "threshold outside the cube", _edit(lambda t, p: p["threshold"].__setitem__(0, 1.5))),
     ("forest", "threshold outside its cell", _second_threshold_outside_its_cell),
@@ -383,10 +398,10 @@ MALFORMED_MODELS = [
     ("forest", "not an object", lambda m: [1, 2]),
     ("forest", "not ASCII", lambda m: b"\xff\xfe"),
     ("density", "v1 format", lambda m: {**m, "format": "mondrian-density-v1"}),
+    ("density", "v2 file", lambda m: _as_v2(m, "density")),
     ("density", "heights cut short", _edit(lambda t, p: t.update(values=t["values"][:-1]))),
     ("density", "height not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.inf))),
     ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
-    ("density", "lambda above the horizon", _edit(lambda t, p: t.update({"lambda": p["horizon"] + 1.0}))),
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
     ("density", "integration grid of -5 points",
      lambda m: {**m, "integration": {"method": "grid", "point_count": -5, "seed": 0}}),
@@ -419,7 +434,8 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
         capsys.readouterr()
         assert main(["predict", "--model", str(bad_path), "--input", str(data_csv),
                      "--out", str(tmp_path / "pred.csv")]) == 2
-        assert capsys.readouterr().err.startswith("input error:")
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
     elif kind == "dataset":
         capsys.readouterr()
         assert main(["fit", "--input", str(bad_path), "--loss", "l2", "--lambda", "6",
@@ -428,5 +444,8 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
         assert err.startswith("input error:") and str(bad_path) in err
     else:
         # no command loads a density model, so the loader is called directly
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as raised:
             load_density_model(str(bad_path))
+        err = str(raised.value)
+    if case == "v2 file":
+        assert f"mondrian-{kind}-v3" in err

@@ -28,6 +28,7 @@ from mondrian_forest import (
     sample_partition,
     save_forest,
 )
+from mondrian_forest.partition import prune
 
 
 def gaussian_data(seed: int, n: int, d: int = 1) -> Dataset:
@@ -68,7 +69,9 @@ def test_every_fit_draws_tree_b_from_the_same_stream():
     ]
     alone = list(sample_forest(1, h, seed, 5))
     for forest in forests:
-        for tree, expected in zip(forest.trees, alone):
+        for tree, full in zip(forest.trees, alone):
+            # an auto fit keeps its genealogy up to the lambda it selects
+            expected = prune(full, tree.lam)[0]
             assert tree.partition.stream_id == expected.stream_id
             for name in ("horizon", "split_dim", "threshold", "birth_time"):
                 assert np.array_equal(getattr(tree.partition, name), getattr(expected, name),

@@ -14,7 +14,6 @@ from mondrian_forest import (
     InputError,
     PartitionTree,
     ResourceError,
-    cell_of,
     contains,
     leaf_count_at,
     leaves_at,
@@ -22,7 +21,6 @@ from mondrian_forest import (
     locate_batch,
     sample_partition,
     split_times,
-    unit_cell,
     volume,
 )
 from mondrian_forest.partition import (
@@ -31,6 +29,7 @@ from mondrian_forest.partition import (
     load_model,
     node_members,
     partition_from_obj,
+    prune,
     partition_to_obj,
     sample_forest,
     sample_split,
@@ -39,7 +38,7 @@ from mondrian_forest.partition import (
     tree_to_obj,
 )
 
-from oracles import locate_scan
+from oracles import cell_of, leaf_cells_walk, locate_scan, unit_cell
 
 
 def two_leaf_tree(threshold: float = 0.5, birth: float = 1.2) -> PartitionTree:
@@ -309,6 +308,28 @@ def test_property_leaf_count_monotone_in_lambda(case, share):
     later = min(lam + share * (tree.horizon - lam), tree.horizon)
     assert leaf_count_at(tree, lam) <= leaf_count_at(tree, later)
     assert leaf_count_at(tree, lam) == len(leaves_at(tree, lam)) == len(leaf_nodes(tree, lam))
+
+
+@given(genealogies(), st.data())
+def test_property_prune_keeps_the_time_lam_partition(case, data):
+    tree, lam = case
+    assert prune(tree, tree.horizon)[0] is tree
+    pruned, kept = prune(tree, lam)
+    assert pruned.horizon == lam and pruned.stream_id == tree.stream_id
+    assert np.all(pruned.birth_time[pruned.split_dim >= 0] <= lam)
+    cells = leaf_cells_walk(tree, lam)
+    assert leaves_at(pruned, lam) == leaves_at(tree, lam) == cells
+    splits = pruned.split_dim >= 0
+    assert np.array_equal(tree.split_dim[kept][splits], pruned.split_dim[splits])
+    assert np.array_equal(tree.threshold[kept][splits], pruned.threshold[splits])
+    xs = np.array(data.draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=tree.dimension, max_size=tree.dimension),
+        min_size=1, max_size=20)))
+    ids = locate_batch(pruned, lam, xs)
+    assert np.array_equal(ids, locate_batch(tree, lam, xs))
+    assert all(contains(cells[k], x) for k, x in zip(ids, xs))
+    with pytest.raises(InputError):
+        prune(tree, tree.horizon + 1.0)
 
 
 @given(genealogies(), st.data())

@@ -18,10 +18,16 @@ from mondrian_forest import (
     fit_forest,
     fit_forest_auto,
     fit_tree,
+    load_dataset_csv,
+    load_forest,
     penalty_path,
     predict_batch,
+    sample_forest,
     sample_partition,
+    split_times,
 )
+from mondrian_forest.cli import main
+from mondrian_forest.partition import partition_to_obj, prune
 
 from oracles import brute_force_path
 
@@ -182,6 +188,29 @@ def test_property_path_matches_brute_force_refit(spec, d, horizon, n, alpha, see
     assert np.array_equal(path.breakpoints, bps)
     assert np.allclose(path.risks, risks, rtol=0.0, atol=1e-10)
     assert path.lambda_star == lam_star
+
+
+def test_saved_auto_model_is_each_full_genealogy_pruned_at_its_minimiser(tmp_path):
+    # a saved auto model keeps each path only up to lambda*, so the rest of
+    # the path is checked on the genealogy re-sampled from the model header
+    data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
+    assert main(["gen", "--task", "gaussian", "--n", "200", "--seed", "31",
+                 "--out", str(data_csv)]) == 0
+    assert main(["fit", "--input", str(data_csv), "--loss", "huber:0.5", "--auto",
+                 "--alpha", "0.005", "--lambda-max", "40", "--trees", "3", "--seed", "5",
+                 "--out", str(model_path)]) == 0
+    forest, data = load_forest(str(model_path)), load_dataset_csv(str(data_csv))
+    mode, box = forest.config.lambda_mode, forest.config.value_box
+    fulls = sample_forest(forest.dimension, mode.lambda_max, forest.config.seed,
+                          forest.config.tree_count)
+    dropped = 0
+    for tree, full in zip(forest.trees, fulls):
+        assert brute_force_path(full, data, forest.spec, box, mode.alpha)[2] == tree.lam
+        assert partition_to_obj(tree.partition) == partition_to_obj(prune(full, tree.lam)[0])
+        assert tree.partition.horizon == tree.lam
+        assert all(t <= tree.lam for t in split_times(tree.partition))
+        dropped += len(split_times(full)) - len(split_times(tree.partition))
+    assert dropped > 0
 
 
 def test_auto_forest_leaf_values_are_a_refit_at_lambda_star():
