@@ -63,7 +63,6 @@ from .partition import (
     PartitionTree,
     leaf_count_at,
     leaves_at,
-    locate,
     locate_batch,
     sample_forest,
     sample_partition,
@@ -71,7 +70,7 @@ from .partition import (
 )
 from .selection import PenaltyPath, default_lambda_max, fit_forest_auto, penalty_path
 from .synth import TargetFunction, generate, true_excess_risk
-from .tree import FittedTree, empirical_risk, fit_tree, predict_tree, predict_tree_batch
+from .tree import FittedTree, empirical_risk, fit_tree, predict_tree_batch
 
 __version__ = "0.1.0"
 

@@ -125,12 +125,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _value_box(args: argparse.Namespace, data: Dataset, spec: LossSpec) -> ValueBox:
+    """``--box``, or the loss's default box at the data's size."""
+    return parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
+
+
+def _auto_lambda(args: argparse.Namespace, data: Dataset) -> AutoLambda:
+    """``--alpha`` and ``--lambda-max``, by default the data's expected-leaf horizon."""
+    lam_max = default_lambda_max(data.n, data.dimension) if args.lambda_max is None \
+        else args.lambda_max
+    return AutoLambda(args.alpha, lam_max)
+
+
 def _fit_config(args: argparse.Namespace, data: Dataset, spec: LossSpec) -> FitConfig:
-    box = parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
+    box = _value_box(args, data, spec)
     if args.auto:
-        lam_max = args.lambda_max if args.lambda_max is not None else \
-            default_lambda_max(data.n, data.dimension)
-        mode: FixedLambda | AutoLambda = AutoLambda(args.alpha, lam_max)
+        mode: FixedLambda | AutoLambda = _auto_lambda(args, data)
     else:
         if args.lam is None:
             raise InputError("either --lambda or --auto is required")
@@ -174,15 +184,13 @@ def _cmd_select_lambda(args: argparse.Namespace) -> int:
     data = load_dataset_csv(args.input)
     if data.responses is None:
         raise InputError(f"{args.input}: selection requires a response column")
-    box = parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
-    lam_max = args.lambda_max if args.lambda_max is not None else \
-        default_lambda_max(data.n, data.dimension)
-    partition = next(sample_forest(data.dimension, lam_max, args.seed, 1))
-    path = penalty_path(partition, data, spec, box, args.alpha)
+    mode = _auto_lambda(args, data)
+    partition = next(sample_forest(data.dimension, mode.lambda_max, args.seed, 1))
+    path = penalty_path(partition, data, spec, _value_box(args, data, spec), mode.alpha)
     lines = ["lambda,risk,penalty,pen_total"]
     for lam, risk, pen in zip(path.breakpoints, path.risks, path.pen_totals):
         lines.append(f"{repr(float(lam))},{repr(float(risk))},"
-                     f"{repr(float(args.alpha * lam))},{repr(float(pen))}")
+                     f"{repr(float(mode.alpha * lam))},{repr(float(pen))}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -197,10 +205,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.eval_grid < 0:
         raise InputError(f"--eval-grid must be >= 0, got {args.eval_grid}")
     data = load_dataset_csv(args.input)
-    spec = LossSpec("density")
-    box = parse_box(args.box) if args.box else default_value_box(spec, max(data.n, 2))
     model = fit_density_forest(data.points, args.lam, args.trees, args.seed,
-                               box, grid_points=args.grid_points)
+                               _value_box(args, data, LossSpec("density")),
+                               grid_points=args.grid_points)
     save_density_model(model, args.out)
     if args.eval_out:
         grid_rng = np.random.default_rng(args.seed)

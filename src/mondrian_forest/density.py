@@ -10,12 +10,10 @@ the representative with unit mass (closed form ``c_j = ln(n_j/(n vol_j))``)
 is taken, clamped into the box. When clamping binds, stationarity pins
 every height to a common mass scale, c_j = clip(ln(n_j Z / (n vol_j))),
 and the self-consistency equation for Z is piecewise linear between clamp
-breakpoints, so the constrained minimizer is solved exactly by a
-breakpoint scan; projected cyclic coordinate descent then certifies the
-result (each coordinate has an exact minimizer, so no line search is
-needed). Heights are then recentered so the piecewise-constant function
-integrates to zero, trees are averaged, and the ensemble is exponentiated
-and renormalized into a density.
+breakpoints, so the constrained minimizer is solved exactly by one
+vectorised scan over the breakpoints. Heights are then recentered so the
+piecewise-constant function integrates to zero, trees are averaged, and the
+ensemble is exponentiated and renormalized into a density.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .core import (
 )
 from .partition import (
     PartitionTree,
+    json_int,
     leaf_bounds,
     load_model,
     locate_batch,
@@ -113,11 +112,9 @@ def fit_density_tree(partition: PartitionTree, lam: float, xs,
     with np.errstate(divide="ignore"):
         heights = np.log(counts / (n * vols))
     heights = np.clip(heights, box.lo, box.hi)
-
-    if not np.all((heights > box.lo) & (heights < box.hi)):
-        heights = _scale_equation_heights(counts, vols, n, box)
-        _coordinate_descent(heights, counts, vols, n, box)
-    return heights
+    if np.all((heights > box.lo) & (heights < box.hi)):
+        return heights
+    return _scale_equation_heights(counts, vols, n, box)
 
 
 def _scale_equation_heights(counts: np.ndarray, vols: np.ndarray, n: int,
@@ -136,71 +133,40 @@ def _scale_equation_heights(counts: np.ndarray, vols: np.ndarray, n: int,
     with np.errstate(divide="ignore"):
         a = np.log(p / vols)
     lo_mass = vols * math.exp(box.lo)
-    hi_mass = vols * math.exp(box.hi)
-    events = []
-    for j in range(vols.shape[0]):
-        if np.isfinite(a[j]):
-            events.append((box.lo - a[j], p[j], -lo_mass[j]))
-            events.append((box.hi - a[j], -p[j], hi_mass[j]))
-    events.sort(key=lambda event: event[0])
-    interior = 0.0
-    fixed = float(lo_mass.sum())
-    t_prev = -math.inf
-    for t_event, d_interior, d_fixed in events:
-        if t_event > t_prev:
-            residual = (interior - 1.0) * math.exp(t_event) + fixed
-            if residual <= 0.0:
-                if interior < 1.0:
-                    # the root lies in this segment; clamping guards the
-                    # closed form against rounding in the running sums
-                    t_star = math.log(fixed / (1.0 - interior))
-                    t_star = min(max(t_star, t_prev), t_event)
-                else:
-                    # flat stretch of zero residual; every point is optimal
-                    t_star = t_prev
-                return np.clip(a + t_star, box.lo, box.hi)
-            t_prev = t_event
-        interior += d_interior
-        fixed += d_fixed
-    return np.clip(a + math.log(fixed), box.lo, box.hi)
-
-
-def _coordinate_descent(heights: np.ndarray, counts: np.ndarray,
-                        vols: np.ndarray, n: int, box: ValueBox,
-                        tol: float = 1e-10, max_sweeps: int = 10_000) -> None:
-    """Projected exact coordinate descent on the penalized likelihood.
-
-    For coordinate j with the others fixed, the unconstrained minimizer
-    solves vol_j e^{c_j} / Z = n_j / n, i.e. c_j = ln(A n_j / (vol_j (n - n_j)))
-    with A the mass of the other cells; projecting it onto the box is exact
-    because the objective is convex in c_j. Started at the scale-equation
-    solution this terminates in one or two sweeps; the sweep cap only guards
-    against numerical degeneracy.
-    """
-    mass = vols * np.exp(heights)
-    total = float(mass.sum())
-    for _ in range(max_sweeps):
-        biggest = 0.0
-        for j in range(heights.shape[0]):
-            other = total - mass[j]
-            nj = counts[j]
-            if nj == 0:
-                target = box.lo
-            elif nj == n:
-                target = box.hi
-            else:
-                target = math.log(other * nj / (vols[j] * (n - nj)))
-                target = min(max(target, box.lo), box.hi)
-            change = abs(target - heights[j])
-            if change > biggest:
-                biggest = change
-            heights[j] = target
-            new_mass = vols[j] * math.exp(target)
-            total = other + new_mass
-            mass[j] = new_mass
-        if biggest < tol:
-            return
-    raise NumericError("density height optimization failed to converge")
+    clamped = float(lo_mass.sum())
+    if not clamped > 0.0:
+        # the clamped mass that fixes the scale below the first event is lost
+        raise NumericError(f"exp of the value box bottom {box.lo} underflows")
+    seen = np.isfinite(a)
+    # each seen cell enters the interior at lo - a_j and leaves it at hi - a_j;
+    # events are taken in time order, ties in the order cell by cell
+    times = np.column_stack((box.lo - a[seen], box.hi - a[seen])).ravel()
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    d_interior = np.column_stack((p[seen], -p[seen])).ravel()[order]
+    d_fixed = np.column_stack((-lo_mass[seen], vols[seen] * math.exp(box.hi))).ravel()[order]
+    # the interior share and the clamped mass before each event, and after the last
+    interior = np.cumsum(np.concatenate(([0.0], d_interior)))
+    fixed = np.cumsum(np.concatenate(([clamped], d_fixed)))
+    # tied events are one breakpoint, so R is tested once per run of equal
+    # times, at its first event, with the sums of every earlier event
+    first = np.flatnonzero(np.diff(times, prepend=-math.inf) > 0.0)
+    residual = (interior[first] - 1.0) * np.exp(times[first]) + fixed[first]
+    roots = first[residual <= 0.0]
+    if roots.size == 0:
+        return np.clip(a + math.log(fixed[-1]), box.lo, box.hi)
+    k = int(roots[0])
+    t_prev = float(times[k - 1]) if k else -math.inf
+    if interior[k] >= 1.0 or fixed[k] <= 0.0:
+        # a flat stretch of zero residual, where every point is optimal, or a
+        # segment whose rounded sums make R negative throughout
+        t_star = t_prev
+    else:
+        # the root lies in this segment; clamping guards the closed form
+        # against rounding in the running sums
+        t_star = math.log(float(fixed[k]) / (1.0 - float(interior[k])))
+        t_star = min(max(t_star, t_prev), float(times[k]))
+    return np.clip(a + t_star, box.lo, box.hi)
 
 
 def density_objective(heights, counts, vols, n: int) -> float:
@@ -319,12 +285,12 @@ def density_model_from_obj(obj: dict) -> DensityModel:
         if integ_obj["method"] == "overlay":
             integration: ExactOverlay | GridMC = ExactOverlay()
         elif integ_obj["method"] == "grid":
-            integration = GridMC(point_count=int(integ_obj["point_count"]),
-                                 seed=int(integ_obj["seed"]))
+            integration = GridMC(point_count=json_int(integ_obj["point_count"], "point_count"),
+                                 seed=json_int(integ_obj["seed"], "seed"))
         else:
             raise InputError(f"unknown integration method {integ_obj['method']!r}")
         log_z = float(obj["log_normalizer"])
-        dimension = int(obj["dimension"])
+        dimension = json_int(obj["dimension"], "dimension")
         tree_objs = list(obj["trees"])
     except InputError:
         raise

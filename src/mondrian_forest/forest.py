@@ -17,7 +17,7 @@ from .core import (
     as_points,
 )
 from .losses import LossSpec, is_surrogate
-from .partition import load_model, sample_forest, save_model, tree_from_obj, tree_to_obj
+from .partition import json_int, load_model, sample_forest, save_model, tree_from_obj, tree_to_obj
 from .tree import FittedTree, fit_tree, predict_tree_batch
 
 DEFAULT_TREE_COUNT = 100
@@ -97,7 +97,7 @@ def forest_to_obj(forest: Forest) -> dict:
 def forest_from_obj(obj: dict) -> Forest:
     """Read :func:`forest_to_obj` output; every leaf value must lie in the box."""
     try:
-        dimension = int(obj["dimension"])
+        dimension = json_int(obj["dimension"], "dimension")
         tree_objs = list(obj["trees"])
         spec = LossSpec(**obj["loss"])
         box = ValueBox(float(obj["box"][0]), float(obj["box"][1]))
@@ -110,7 +110,7 @@ def forest_from_obj(obj: dict) -> Forest:
             raise InputError(f"unknown lambda mode {mode_obj['mode']!r}")
         config = FitConfig(
             tree_count=len(tree_objs), lambda_mode=mode, value_box=box,
-            seed=int(obj["seed"]), leaf_cap=int(obj["leaf_cap"]))
+            seed=json_int(obj["seed"], "seed"), leaf_cap=json_int(obj["leaf_cap"], "leaf_cap"))
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:

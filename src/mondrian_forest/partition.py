@@ -39,7 +39,6 @@ from .core import (
     NumericError,
     ResourceError,
     ValueBox,
-    as_point,
     as_points,
 )
 
@@ -50,7 +49,8 @@ class PartitionTree:
 
     ``split_dim`` is -1 at a leaf, whose ``threshold`` is NaN and whose
     ``birth_time`` is infinite. The left child of split ``i`` is node
-    ``i + 1``; its right child ``right[i]`` is derived from ``split_dim``.
+    ``i + 1``; its right child ``right[i]`` is derived from ``split_dim``,
+    and so are the corners ``cell_lo[i]`` and ``cell_hi[i]`` of its cell.
     Construction checks that the arrays form a genealogy: split dimensions
     in ``[0, d)``, every threshold inside its node's cell, and split birth
     times in ``[0, horizon]``, never decreasing down a path.
@@ -66,6 +66,8 @@ class PartitionTree:
     birth_time: np.ndarray
     stream_id: str
     right: np.ndarray = field(init=False, repr=False)
+    cell_lo: np.ndarray = field(init=False, repr=False)
+    cell_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, dtype in (("split_dim", np.int64), ("threshold", float),
@@ -89,7 +91,9 @@ class PartitionTree:
         if np.any(births[parents + 1] < births[parents]) or \
                 np.any(births[self.right[parents]] < births[parents]):
             raise InputError("split birth times decrease down a path")
-        _node_bounds(self)  # checks each threshold against its node's cell
+        for name, bounds in zip(("cell_lo", "cell_hi"), _node_bounds(self)):
+            bounds.flags.writeable = False
+            object.__setattr__(self, name, bounds)
 
 
 def _right_children(split_dim: np.ndarray) -> np.ndarray:
@@ -248,7 +252,8 @@ def leaf_count_at(tree: PartitionTree, lam: float) -> int:
 
 
 def _node_bounds(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of every node's cell, as (nodes, d) arrays."""
+    """Lower and upper corners of every node's cell, as (nodes, d) arrays,
+    checking each threshold against its node's cell."""
     lo = np.zeros((tree.split_dim.shape[0], tree.dimension))
     hi = np.ones_like(lo)
     for i, (j, t, r) in enumerate(zip(tree.split_dim.tolist(), tree.threshold.tolist(),
@@ -265,8 +270,7 @@ def _node_bounds(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
 def leaf_bounds(tree: PartitionTree, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Corners of the time-``lam`` leaf cells, as (leaves, d) arrays in leaf-id order."""
     nodes = leaf_nodes(tree, lam)
-    lo, hi = _node_bounds(tree)
-    return lo[nodes], hi[nodes]
+    return tree.cell_lo[nodes], tree.cell_hi[nodes]
 
 
 def leaves_at(tree: PartitionTree, lam: float) -> list[Cell]:
@@ -280,14 +284,8 @@ def split_times(tree: PartitionTree) -> list[float]:
     return sorted(tree.birth_time[tree.split_dim >= 0].tolist())
 
 
-def locate(tree: PartitionTree, lam: float, x) -> int:
-    """Pre-order index of the leaf of the time-``lam`` partition containing ``x``."""
-    point = as_point(x, dimension=tree.dimension)
-    return int(locate_batch(tree, lam, point.reshape(1, -1))[0])
-
-
 def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
-    """Vectorized :func:`locate`; returns an int array of leaf indices.
+    """Leaf id of the time-``lam`` cell holding each point, as an int array.
 
     Each split partitions its points in one comparison and hands each half
     to its child. An empty half is not followed, so one point costs one
@@ -373,13 +371,22 @@ def partition_from_obj(obj: dict) -> PartitionTree:
             if values.shape != (int(splits.sum()),):
                 raise ValueError(f"{key} needs one entry per split")
             full[splits] = values
-        return PartitionTree(dimension=int(obj["dimension"]), horizon=float(obj["horizon"]),
+        return PartitionTree(dimension=json_int(obj["dimension"], "dimension"),
+                             horizon=float(obj["horizon"]),
                              split_dim=dims, threshold=threshold, birth_time=birth_time,
                              stream_id=str(obj["stream_id"]))
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition object: {exc!r}") from exc
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if JSON read an integer for it; a float, even an integral
+    one, a boolean or anything else is an :class:`InputError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def tree_to_obj(partition: PartitionTree, lam: float, values) -> dict:

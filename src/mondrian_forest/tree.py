@@ -9,7 +9,7 @@ import numpy as np
 from .core import Dataset, InputError, ValueBox, as_points
 from .leaf_fit import fit_groups
 from .losses import LossSpec, loss_eval
-from .partition import PartitionTree, leaf_count_at, locate, locate_batch
+from .partition import PartitionTree, leaf_count_at, locate_batch
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
         ids = locate_batch(partition, lam, data.points)
         values, _ = fit_groups(spec, ids, data.require_responses(), box, leaf_count)
     return FittedTree(partition=partition, lam=float(lam), leaf_values=values)
-
-
-def predict_tree(tree: FittedTree, x) -> float:
-    return float(tree.leaf_values[locate(tree.partition, tree.lam, x)])
 
 
 def predict_tree_batch(tree: FittedTree, xs) -> np.ndarray:

@@ -20,7 +20,7 @@ from mondrian_forest import (
     empirical_risk,
     fit_tree,
     leaves_at,
-    locate,
+    locate_batch,
     loss_eval,
     split_times,
 )
@@ -39,9 +39,9 @@ def linear_size(cell: Cell) -> float:
 
 
 def cell_of(tree: PartitionTree, lam: float, x) -> Cell:
-    """The leaf cell of the time-``lam`` partition that ``locate`` gives for ``x``."""
+    """The leaf cell of the time-``lam`` partition that ``locate_batch`` gives for ``x``."""
     lo, hi = leaf_bounds(tree, lam)
-    k = locate(tree, lam, x)
+    k = int(locate_batch(tree, lam, np.array([x], dtype=float))[0])
     cell = Cell(lo=tuple(lo[k].tolist()), hi=tuple(hi[k].tolist()))
     if not contains(cell, x):
         raise AssertionError(f"descent for {x!r} reached a cell that does not contain it")

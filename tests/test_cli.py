@@ -261,6 +261,12 @@ def test_exit_code_input_errors(tmp_path, capsys):
                "--out", str(tmp_path / "d.txt")]
     assert main([*density, "--grid-points", "0"]) == 2
     assert main([*density, "--eval-grid", "-1", "--eval-out", str(tmp_path / "e.csv")]) == 2
+    capsys.readouterr()
+    assert main(["select-lambda", "--input", str(data_csv), "--loss", "l2",
+                 "--lambda-max", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: lambda_max must be finite and > 0")
+    assert "Traceback" not in err
     converge = ["converge", "--task", "gaussian", "--n-grid", "20,40", "--reps", "1",
                 "--trees", "1", "--out", str(tmp_path / "c.csv")]
     capsys.readouterr()
@@ -395,6 +401,9 @@ MALFORMED_MODELS = [
     ("forest", "tree dimension differs from the header", _edit(lambda t, p: p.update(dimension=2))),
     ("forest", "nodes do not form a tree", _edit(lambda t, p: p["split_dim"].append(-1))),
     ("forest", "box not numbers", lambda m: {**m, "box": ["a", 1.0]}),
+    ("forest", "seed not finite", lambda m: {**m, "seed": math.inf}),
+    ("forest", "leaf cap not an integer", lambda m: {**m, "leaf_cap": 7.9}),
+    ("forest", "partition dimension not finite", _edit(lambda t, p: p.update(dimension=math.inf))),
     ("forest", "not an object", lambda m: [1, 2]),
     ("forest", "not ASCII", lambda m: b"\xff\xfe"),
     ("density", "v1 format", lambda m: {**m, "format": "mondrian-density-v1"}),
@@ -405,6 +414,10 @@ MALFORMED_MODELS = [
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
     ("density", "integration grid of -5 points",
      lambda m: {**m, "integration": {"method": "grid", "point_count": -5, "seed": 0}}),
+    ("density", "integration grid of infinitely many points",
+     lambda m: {**m, "integration": {"method": "grid", "point_count": math.inf, "seed": 0}}),
+    ("density", "integration grid of 8.7 points",
+     lambda m: {**m, "integration": {"method": "grid", "point_count": 8.7, "seed": 0}}),
     ("dataset", "not ASCII", lambda m: b"x1,y\n\xff,1\n"),
 ]
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mondrian_forest import (
     Cell,
@@ -24,7 +25,6 @@ from mondrian_forest import (
     volume,
 )
 from mondrian_forest.density import (
-    _coordinate_descent,
     _scale_equation_heights,
     density_objective,
     overlay_breakpoints,
@@ -162,26 +162,76 @@ def test_clamped_solutions_match_generic_solver():
         n = int(counts.sum())
         box = ValueBox(-float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)))
         heights = _scale_equation_heights(counts, vols, n, box)
-        heights = np.clip(heights, box.lo, box.hi)
-        _coordinate_descent(heights, counts, vols, n, box)
+        assert box.holds(heights), trial
         ours = density_objective(heights, counts, vols, n)
         ref = density_opt_reference(counts, vols, n, box)
         assert ours <= ref + 1e-8 * (1.0 + abs(ref)), trial
 
 
 def test_tiny_empty_cell_with_binding_box():
-    # a sliver cell with no data once stalled plain coordinate descent;
-    # the scale-equation start must land on the optimum directly
+    # a sliver cell with no data once stalled plain coordinate descent; it
+    # stays because its clamped mass is tiny next to the others', so the scan
+    # must still find the root and leave the empty cell at the box bottom
     vols = np.array([2e-5, 0.4, 0.3, 0.2, 0.09998])
     counts = np.array([0.0, 9000.0, 4000.0, 2500.0, 500.0])
     n = int(counts.sum())
     box = ValueBox(-math.log(math.log(n)), math.log(math.log(n)))
     heights = _scale_equation_heights(counts, vols, n, box)
-    _coordinate_descent(heights, counts, vols, n, box)
     ours = density_objective(heights, counts, vols, n)
     ref = density_opt_reference(counts, vols, n, box)
     assert ours <= ref + 1e-8 * (1.0 + abs(ref))
     assert heights[0] == box.lo
+
+
+def kkt_residual(heights, counts, vols, n: int, box: ValueBox) -> float:
+    """Largest violation of the box-constrained stationarity conditions."""
+    mass = vols * np.exp(heights)
+    grad = mass / mass.sum() - counts / n
+    violation = np.where(heights <= box.lo, np.maximum(-grad, 0.0),
+                         np.where(heights >= box.hi, np.maximum(grad, 0.0), np.abs(grad)))
+    return float(violation.max())
+
+
+@st.composite
+def scale_equation_cases(draw):
+    k = draw(st.integers(1, 10))
+    # few distinct weights and counts, so cells share event times
+    weights = np.array(draw(st.lists(st.sampled_from([1.0, 1.0, 2.0, 3.0, 0.01]),
+                                     min_size=k, max_size=k)))
+    counts = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 5, 24, 300]),
+                                    min_size=k, max_size=k)), dtype=float)
+    if counts.sum() == 0:
+        counts[draw(st.integers(0, k - 1))] = 24.0
+    lo = draw(st.one_of(st.floats(-8.0, -0.01), st.sampled_from([-0.5, -1.0])))
+    hi = draw(st.one_of(st.floats(0.01, 8.0), st.sampled_from([0.5, 1.0])))
+    return counts, weights / weights.sum(), ValueBox(lo, hi)
+
+
+# equal counts and volumes, where the old scalar scan took the log of a
+# rounded, non-positive clamped mass
+@example((np.full(10, 24.0), np.full(10, 0.1),
+          ValueBox(-0.7030593952942144, 1.163202714003167)))
+@given(scale_equation_cases())
+def test_property_scale_equation_heights_are_optimal(case):
+    counts, vols, box = case
+    n = int(counts.sum())
+    heights = _scale_equation_heights(counts, vols, n, box)
+    assert box.holds(heights)
+    assert np.all(heights[counts == 0] == box.lo)
+    assert kkt_residual(heights, counts, vols, n, box) <= 1e-12
+    ref = density_opt_reference(counts, vols, n, box)
+    assert density_objective(heights, counts, vols, n) <= ref + 1e-12 * (1.0 + abs(ref))
+
+
+def test_underflowing_box_bottom_is_a_numeric_error():
+    # exp(-800) is 0, so no clamped mass is left to fix the scale: the scan
+    # would otherwise put every height at the box bottom
+    xs = np.array([[0.1], [0.2], [0.3], [0.4]])
+    with pytest.raises(NumericError):
+        fit_density_tree(split_at_half(), 1.0, xs, ValueBox(-800.0, 5.0))
+    with pytest.raises(NumericError):
+        _scale_equation_heights(np.array([4.0, 0.0]), np.array([0.5, 0.5]), 4,
+                                ValueBox(-800.0, 5.0))
 
 
 def test_full_pipeline_handles_binding_boxes():

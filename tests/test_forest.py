@@ -22,7 +22,6 @@ from mondrian_forest import (
     load_forest,
     predict,
     predict_batch,
-    predict_tree,
     predict_tree_batch,
     sample_forest,
     sample_partition,

@@ -17,7 +17,6 @@ from mondrian_forest import (
     contains,
     leaf_count_at,
     leaves_at,
-    locate,
     locate_batch,
     sample_partition,
     split_times,
@@ -72,7 +71,7 @@ def test_invalid_arguments():
     with pytest.raises(InputError):
         leaves_at(tree, -0.1)
     with pytest.raises(InputError):
-        locate(tree, 2.0, [1.4])
+        locate_batch(tree, 2.0, np.array([[1.4]]))
 
 
 def test_leaf_cap_enforced():
@@ -191,7 +190,6 @@ def test_locate_agrees_with_scan():
     ids = locate_batch(tree, lam, xs)
     cells = leaves_at(tree, lam)
     for i in range(0, xs.shape[0], 97):
-        assert locate(tree, lam, xs[i]) == ids[i]
         assert locate_scan(tree, lam, xs[i]) == ids[i]
     for i in range(xs.shape[0]):
         cell = cells[ids[i]]
@@ -215,16 +213,16 @@ def test_locate_batch_leaves_no_reference_cycle():
 
 def test_locate_single_leaf_and_left_descent():
     tree = sample_partition(3, 0.0, 5)
-    assert locate(tree, 0.0, [0.9, 0.1, 0.4]) == 0
+    assert locate_batch(tree, 0.0, np.array([[0.9, 0.1, 0.4]])).tolist() == [0]
     manual = two_leaf_tree(threshold=0.5)
-    assert locate(manual, 2.0, [0.25]) == 0
-    assert locate(manual, 2.0, [0.75]) == 1
+    assert locate_batch(manual, 2.0, np.array([[0.25]])).tolist() == [0]
+    assert locate_batch(manual, 2.0, np.array([[0.75]])).tolist() == [1]
     assert cell_of(manual, 2.0, [0.25]) == Cell((0.0,), (0.5,))
 
 
 def test_threshold_point_descends_right():
     manual = two_leaf_tree(threshold=0.5)
-    assert locate(manual, 2.0, [0.5]) == 1
+    assert locate_batch(manual, 2.0, np.array([[0.5]])).tolist() == [1]
     ids = locate_batch(manual, 2.0, np.array([[0.5], [0.4999999], [1.0]]))
     assert list(ids) == [1, 0, 1]
 
@@ -298,7 +296,6 @@ def test_property_each_point_in_exactly_one_leaf(case, data):
     ids = locate_batch(tree, lam, xs)
     for x, k in zip(xs, ids):
         assert [i for i, cell in enumerate(cells) if contains(cell, x)] == [k]
-        assert locate(tree, lam, x) == k
         assert cell_of(tree, lam, x) == cells[k]
 
 

@@ -12,7 +12,6 @@ from mondrian_forest import (
     fit_tree,
     leaves_at,
     locate_batch,
-    predict_tree,
     predict_tree_batch,
     sample_partition,
     split_times,
@@ -50,7 +49,7 @@ def test_single_leaf_mean():
     tree = fit_tree(part, 0.0, data, LossSpec("squared"), ValueBox(-10, 10))
     assert tree.leaf_values.shape == (1,)
     assert tree.leaf_values[0] == pytest.approx(2.0, abs=1e-12)
-    assert predict_tree(tree, [0.77]) == tree.leaf_values[0]
+    assert predict_tree_batch(tree, np.array([[0.77]])).tolist() == [tree.leaf_values[0]]
 
 
 def test_empty_dataset_gives_default_values():
@@ -123,7 +122,7 @@ def test_out_of_domain_rejected():
     data = make_data(71, 20)
     tree = fit_tree(part, 1.0, data, LossSpec("squared"), ValueBox(-5, 5))
     with pytest.raises(InputError):
-        predict_tree(tree, [1.2])
+        predict_tree_batch(tree, np.array([[1.2]]))
     with pytest.raises(InputError):
         predict_tree_batch(tree, np.array([[0.5], [-0.1]]))
 
