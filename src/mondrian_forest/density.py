@@ -19,7 +19,7 @@ ensemble is exponentiated and renormalized into a density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ from .core import (
 )
 from .partition import (
     PartitionTree,
+    QueryIndex,
+    compile_index,
     json_int,
     leaf_bounds,
     load_model,
@@ -78,9 +80,16 @@ class DensityTree:
 
 @dataclass(frozen=True)
 class DensityModel:
+    """Density trees and the ln Z of their ensemble; every evaluation goes
+    through ``index``, compiled from the trees when the model is made."""
+
     trees: tuple[DensityTree, ...]
     log_normalizer: float
     integration: ExactOverlay | GridMC
+    index: QueryIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", density_index(self.trees))
 
     @property
     def dimension(self) -> int:
@@ -184,12 +193,9 @@ def recenter(heights, vols) -> np.ndarray:
     return h - float(np.dot(vols, h))
 
 
-def _ensemble_log_heights(trees: Sequence[DensityTree], points: np.ndarray) -> np.ndarray:
-    total = np.zeros(points.shape[0])
-    for tree in trees:
-        ids = locate_batch(tree.partition, tree.lam, points)
-        total += tree.heights[ids]
-    return total / len(trees)
+def density_index(trees: Sequence[DensityTree]) -> QueryIndex:
+    """The query index whose mean is the ensemble's average log-height."""
+    return compile_index((tree.partition, tree.lam, tree.heights) for tree in trees)
 
 
 def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
@@ -210,7 +216,7 @@ def log_normalizer_for(trees: Sequence[DensityTree],
         edges = overlay_breakpoints(trees)
         mids = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
-        h_bar = _ensemble_log_heights(trees, mids.reshape(-1, 1))
+        h_bar = density_index(trees).mean(mids.reshape(-1, 1))
         return float(math.log(np.dot(widths, np.exp(h_bar))))
     from scipy.stats import qmc  # slow to import; only this branch needs it
     sampler = qmc.Sobol(d=dimension, scramble=True,
@@ -221,7 +227,7 @@ def log_normalizer_for(trees: Sequence[DensityTree],
     else:
         grid = sampler.random(integration.point_count)
     grid = np.clip(grid, 0.0, 1.0)
-    h_bar = _ensemble_log_heights(trees, grid)
+    h_bar = density_index(trees).mean(grid)
     return float(math.log(np.mean(np.exp(h_bar))))
 
 
@@ -253,7 +259,7 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
 
 def density_eval_batch(model: DensityModel, xs) -> np.ndarray:
     points = as_points(xs, dimension=model.dimension)
-    h_bar = _ensemble_log_heights(model.trees, points)
+    h_bar = model.index.mean(points)
     return np.exp(h_bar - model.log_normalizer)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,8 +17,17 @@ from .core import (
     as_points,
 )
 from .losses import LossSpec, is_surrogate
-from .partition import json_int, load_model, sample_forest, save_model, tree_from_obj, tree_to_obj
-from .tree import FittedTree, fit_tree, predict_tree_batch
+from .partition import (
+    QueryIndex,
+    compile_index,
+    json_int,
+    load_model,
+    sample_forest,
+    save_model,
+    tree_from_obj,
+    tree_to_obj,
+)
+from .tree import FittedTree, fit_tree
 
 DEFAULT_TREE_COUNT = 100
 
@@ -27,9 +36,17 @@ SERIAL_FORMAT = "mondrian-forest-v3"
 
 @dataclass(frozen=True)
 class Forest:
+    """Fitted trees, their loss and their configuration; every query goes
+    through ``index``, compiled from the trees when the forest is made."""
+
     trees: tuple[FittedTree, ...]
     spec: LossSpec
     config: FitConfig
+    index: QueryIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", compile_index(
+            (tree.partition, tree.lam, tree.leaf_values) for tree in self.trees))
 
     @property
     def dimension(self) -> int:
@@ -48,11 +65,7 @@ def fit_forest(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
 
 
 def predict_batch(forest: Forest, xs) -> np.ndarray:
-    points = as_points(xs, dimension=forest.dimension)
-    total = np.zeros(points.shape[0])
-    for tree in forest.trees:
-        total += predict_tree_batch(tree, points)
-    return total / len(forest.trees)
+    return forest.index.mean(as_points(xs, dimension=forest.dimension))
 
 
 def predict(forest: Forest, x) -> float:

@@ -29,7 +29,9 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
              spec: LossSpec, box: ValueBox) -> FittedTree:
     """Fit the constant of every leaf of the time-``lam`` partition.
 
-    Points are assigned to leaves in one vectorized descent; one
+    Points are assigned to leaves in one :func:`locate_batch` call (a
+    binary search over the leaf edges in d = 1, a vectorized descent
+    otherwise); one
     :func:`fit_groups` call then solves every leaf's box-constrained scalar
     problem on the responses that landed in it. An empty dataset leaves
     every leaf at the empty default.

@@ -404,6 +404,8 @@ MALFORMED_MODELS = [
     ("forest", "seed not finite", lambda m: {**m, "seed": math.inf}),
     ("forest", "leaf cap not an integer", lambda m: {**m, "leaf_cap": 7.9}),
     ("forest", "partition dimension not finite", _edit(lambda t, p: p.update(dimension=math.inf))),
+    ("forest", "stream id not a string",
+     _edit(lambda t, p: p.update(stream_id=None))),
     ("forest", "not an object", lambda m: [1, 2]),
     ("forest", "not ASCII", lambda m: b"\xff\xfe"),
     ("density", "v1 format", lambda m: {**m, "format": "mondrian-density-v1"}),
@@ -422,9 +424,9 @@ MALFORMED_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("kind,case,mutate", MALFORMED_MODELS,
-                         ids=[f"{kind}: {case}" for kind, case, _ in MALFORMED_MODELS])
-def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mutate):
+def _model_file(tmp_path, kind):
+    """A fitted forest (or, for "density", density) model of two trees, its
+    training data and its JSON object."""
     data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
     if kind != "density":
         assert main(["gen", "--task", "gaussian", "--n", "60", "--out", str(data_csv)]) == 0
@@ -437,12 +439,22 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
     model = json.loads(model_path.read_text())
     assert model["trees"][0]["partition"]["split_dim"][0] >= 0  # the cases need two splits
     assert len(model["trees"][0]["partition"]["threshold"]) >= 2
-    bad = mutate(model)
-    bad_path = tmp_path / "bad.txt"
-    if isinstance(bad, bytes):
-        bad_path.write_bytes(bad)
+    return data_csv, model
+
+
+def _write(path, model):
+    if isinstance(model, bytes):
+        path.write_bytes(model)
     else:
-        bad_path.write_text(json.dumps(bad))
+        path.write_text(json.dumps(model))
+    return path
+
+
+@pytest.mark.parametrize("kind,case,mutate", MALFORMED_MODELS,
+                         ids=[f"{kind}: {case}" for kind, case, _ in MALFORMED_MODELS])
+def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mutate):
+    data_csv, model = _model_file(tmp_path, kind)
+    bad_path = _write(tmp_path / "bad.txt", mutate(model))
     if kind == "forest":
         capsys.readouterr()
         assert main(["predict", "--model", str(bad_path), "--input", str(data_csv),
@@ -462,3 +474,49 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
         err = str(raised.value)
     if case == "v2 file":
         assert f"mondrian-{kind}-v3" in err
+
+
+def _huge_dimension(model):
+    model["dimension"] = 10**13
+    for tree in model["trees"]:
+        tree["partition"]["dimension"] = 10**13
+    return model
+
+
+OVERSIZED_MODELS = [
+    ("forest", "dimension of 10**13", _huge_dimension),
+    ("density", "dimension of 10**13", _huge_dimension),
+]
+
+
+@pytest.mark.parametrize("kind,case,mutate", OVERSIZED_MODELS,
+                         ids=[f"{kind}: {case}" for kind, case, _ in OVERSIZED_MODELS])
+def test_oversized_model_files_are_resource_errors(tmp_path, kind, case, mutate):
+    data_csv, model = _model_file(tmp_path, kind)
+    bad_path = _write(tmp_path / "bad.txt", mutate(model))
+    if kind == "forest":
+        proc = subprocess.run([sys.executable, "-m", "mondrian_forest", "predict",
+                               "--model", str(bad_path), "--input", str(data_csv),
+                               "--out", str(tmp_path / "pred.csv")],
+                              capture_output=True, text=True, env=os.environ.copy())
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("resource error:") and "Traceback" not in proc.stderr
+    else:
+        # no command loads a density model, so the loader is called directly
+        with pytest.raises(ResourceError):
+            load_density_model(str(bad_path))
+
+
+def test_fifty_dimensional_model_loads_and_predicts(tmp_path):
+    data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
+    assert main(["gen", "--task", "gaussian", "--n", "80", "--d", "50",
+                 "--out", str(data_csv)]) == 0
+    assert main(["fit", "--input", str(data_csv), "--loss", "l2", "--lambda", "0.05",
+                 "--trees", "3", "--out", str(model_path)]) == 0
+    forest = load_forest(model_path)
+    assert forest.dimension == 50
+    assert max(tree.partition.split_dim.size for tree in forest.trees) > 1
+    assert main(["predict", "--model", str(model_path), "--input", str(data_csv),
+                 "--out", str(tmp_path / "pred.csv")]) == 0
+    _, rows = read_csv_rows(tmp_path / "pred.csv")
+    assert len(rows) == 80

@@ -29,6 +29,7 @@ from mondrian_forest.density import (
     density_objective,
     overlay_breakpoints,
 )
+from mondrian_forest.partition import LOCKSTEP_MAX_POINTS
 
 from oracles import density_opt_reference
 
@@ -117,6 +118,17 @@ def test_density_positive_and_finite():
     assert np.all(np.isfinite(vals))
     assert density_eval(model, [0.5]) == pytest.approx(
         float(density_eval_batch(model, np.array([[0.5]]))[0]), abs=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_evaluation_is_exactly_its_batch_row(d):
+    xs = np.random.default_rng(38).random((400, d)) ** 2
+    model = fit_density_forest(xs, 3.0, 4, 39, ValueBox(-3, 3), grid_points=2**10)
+    pts = np.random.default_rng(40).random((LOCKSTEP_MAX_POINTS + 1, d))
+    pts[:3] = np.array([[model.trees[0].partition.threshold[0]], [0.0], [1.0]])
+    batch = density_eval_batch(model, pts)
+    for i in [0, 1, 2, 3, 1000, LOCKSTEP_MAX_POINTS]:
+        assert density_eval(model, pts[i]) == batch[i]
 
 
 def test_grid_normalizer_2d():

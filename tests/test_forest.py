@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mondrian_forest import (
     AutoLambda,
@@ -27,7 +28,7 @@ from mondrian_forest import (
     sample_partition,
     save_forest,
 )
-from mondrian_forest.partition import prune
+from mondrian_forest.partition import LOCKSTEP_MAX_POINTS, prune
 
 
 def gaussian_data(seed: int, n: int, d: int = 1) -> Dataset:
@@ -215,3 +216,55 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not json")
     with pytest.raises(InputError):
         load_forest(path)
+
+
+@st.composite
+def refit_forests(draw, d):
+    """A forest in dimension ``d`` of ``fit_tree`` trees, each fitted at a
+    lambda up to its sampled horizon, so the query index has to prune them."""
+    horizon = 6.0 / d
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.random((60, d)), rng.standard_normal(60))
+    spec, box = LossSpec("squared"), ValueBox(-3.0, 3.0)
+    trees = tuple(fit_tree(partition, draw(st.floats(0.0, horizon)), data, spec, box)
+                  for partition in sample_forest(d, horizon, seed, draw(st.integers(1, 4))))
+    config = FitConfig(tree_count=len(trees), lambda_mode=FixedLambda(horizon),
+                       value_box=box, seed=seed)
+    return Forest(trees=trees, spec=spec, config=config)
+
+
+# batch sizes on both sides of the crossover between the d >= 2 kernels
+@pytest.mark.parametrize("size", [None, LOCKSTEP_MAX_POINTS, LOCKSTEP_MAX_POINTS + 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_property_compiled_mean_is_the_tree_order_sum(d, size, data):
+    forest = data.draw(refit_forests(d))
+    # thresholds, in use or not, and the cube's faces, where ownership decides
+    special = [0.0, 1.0] + [t for tree in forest.trees
+                            for t in tree.partition.threshold[tree.partition.split_dim >= 0]]
+    coordinate = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    drawn = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                               min_size=1, max_size=20))
+    size = size or len(drawn)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fill = np.where(rng.random((size, d)) < 0.5, rng.choice(special, (size, d)),
+                    rng.random((size, d)))
+    xs = np.concatenate((np.array(drawn, dtype=float), fill))[:size]
+    expected = np.zeros(size)
+    for tree in forest.trees:
+        expected += predict_tree_batch(tree, xs)
+    expected /= len(forest.trees)
+    assert np.array_equal(predict_batch(forest, xs), expected)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_query_is_exactly_its_batch_row(d):
+    data = gaussian_data(110, 400, d)
+    forest = fit_forest(data, LossSpec("squared"), config_for(21, trees=6, lam=4.0))
+    xs = np.random.default_rng(22).random((LOCKSTEP_MAX_POINTS + 1, d))
+    xs[:3] = np.array([[forest.trees[0].partition.threshold[0]], [0.0], [1.0]])
+    batch = predict_batch(forest, xs)
+    for i in [0, 1, 2, 3, 1000, LOCKSTEP_MAX_POINTS]:
+        assert predict(forest, xs[i]) == batch[i]
