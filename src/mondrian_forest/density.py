@@ -81,15 +81,17 @@ class DensityTree:
 @dataclass(frozen=True)
 class DensityModel:
     """Density trees and the ln Z of their ensemble; every evaluation goes
-    through ``index``, compiled from the trees when the model is made."""
+    through ``index``, compiled from the trees when the model is made unless
+    given (a fit passes the index it integrated ln Z with)."""
 
     trees: tuple[DensityTree, ...]
     log_normalizer: float
     integration: ExactOverlay | GridMC
-    index: QueryIndex = field(init=False, repr=False, compare=False)
+    index: QueryIndex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", density_index(self.trees))
+        if self.index is None:
+            object.__setattr__(self, "index", density_index(self.trees))
 
     @property
     def dimension(self) -> int:
@@ -206,9 +208,10 @@ def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
     return np.unique(np.concatenate(edges))
 
 
-def log_normalizer_for(trees: Sequence[DensityTree],
+def log_normalizer_for(trees: Sequence[DensityTree], index: QueryIndex,
                        integration: ExactOverlay | GridMC) -> float:
-    """ln of the integral of exp(average tree log-density) over the cube."""
+    """ln of the integral of exp(average tree log-density) over the cube;
+    ``index`` is the trees' :func:`density_index`."""
     dimension = trees[0].partition.dimension
     if isinstance(integration, ExactOverlay):
         if dimension != 1:
@@ -216,7 +219,7 @@ def log_normalizer_for(trees: Sequence[DensityTree],
         edges = overlay_breakpoints(trees)
         mids = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
-        h_bar = density_index(trees).mean(mids.reshape(-1, 1))
+        h_bar = index.mean(mids.reshape(-1, 1))
         return float(math.log(np.dot(widths, np.exp(h_bar))))
     from scipy.stats import qmc  # slow to import; only this branch needs it
     sampler = qmc.Sobol(d=dimension, scramble=True,
@@ -227,12 +230,12 @@ def log_normalizer_for(trees: Sequence[DensityTree],
     else:
         grid = sampler.random(integration.point_count)
     grid = np.clip(grid, 0.0, 1.0)
-    h_bar = density_index(trees).mean(grid)
+    h_bar = index.mean(grid)
     return float(math.log(np.mean(np.exp(h_bar))))
 
 
 def log_normalizer(model: DensityModel) -> float:
-    return log_normalizer_for(model.trees, model.integration)
+    return log_normalizer_for(model.trees, model.index, model.integration)
 
 
 def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
@@ -252,9 +255,10 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
         heights = fit_density_tree(partition, lam, points, box)
         heights = recenter(heights, leaf_volumes(partition, lam))
         trees.append(DensityTree(partition=partition, heights=heights))
-    ln_z = log_normalizer_for(trees, integration)
+    index = density_index(trees)
+    ln_z = log_normalizer_for(trees, index, integration)
     return DensityModel(trees=tuple(trees), log_normalizer=ln_z,
-                        integration=integration)
+                        integration=integration, index=index)
 
 
 def density_eval_batch(model: DensityModel, xs) -> np.ndarray:

@@ -357,26 +357,46 @@ def _columns(points: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
 
 
+def group_points(tree: PartitionTree, lam: float, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The points of every time-``lam`` leaf, grouped: ``(order, counts)``.
+
+    ``order`` lists the point indices leaf by leaf in leaf-id order, each
+    leaf's points in increasing index order, and ``counts[k]`` is the number
+    of points in leaf ``k`` (0 where no point lands). In d = 1, one binary
+    search over the edges born by ``lam`` and a stable argsort of its leaf
+    ids. Otherwise each split partitions its points in place, left child
+    before right, by a boolean selection that keeps index order, so the
+    walk's final order is the grouping; an empty half is not followed, so
+    one point costs one root-to-leaf path.
+    """
+    points = as_points(xs, dimension=tree.dimension)
+    lam = _check_lambda(tree, lam)
+    if tree.dimension == 1:
+        edges = _edges_born_by(tree, lam)
+        ids = _search_edges(edges, points[:, 0])
+        return np.argsort(ids, kind="stable"), np.bincount(ids, minlength=edges.shape[0] + 1)
+    split_dim = np.where(tree.birth_time <= lam, tree.split_dim, -1).tolist()
+    order = np.arange(points.shape[0])
+    counts = np.zeros(tree.split_dim.shape[0], dtype=np.int64)
+    for node, segment in _leaf_segments(split_dim, tree.threshold.tolist(), tree.right.tolist(),
+                                        0, _columns(points), order):
+        counts[node] = segment.shape[0]
+    return order, counts[leaf_nodes(tree, lam)]
+
+
 def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
     """Leaf id of the time-``lam`` cell holding each point, as an int array.
 
-    In d = 1, one binary search over the edges born by ``lam``. Otherwise
-    each split partitions its points in one comparison and hands each half
-    to its child; an empty half is not followed, so one point costs one
-    root-to-leaf path.
+    In d = 1, one binary search over the edges born by ``lam``; otherwise
+    the leaf ids that :func:`group_points` groups the points by.
     """
-    points = as_points(xs, dimension=tree.dimension)
     if tree.dimension == 1:
+        points = as_points(xs, dimension=1)
         return _search_edges(_edges_born_by(tree, _check_lambda(tree, lam)), points[:, 0])
-    nodes = leaf_nodes(tree, lam)
-    leaf_id = np.full(tree.split_dim.shape[0], -1, dtype=np.int64)
-    leaf_id[nodes] = np.arange(nodes.shape[0])
-    split_dim = np.where(tree.birth_time <= lam, tree.split_dim, -1).tolist()
-    out = np.empty(points.shape[0], dtype=np.int64)
-    for node, segment in _leaf_segments(split_dim, tree.threshold.tolist(), tree.right.tolist(),
-                                        0, _columns(points), np.arange(points.shape[0])):
-        out[segment] = leaf_id[node]
-    return out
+    order, counts = group_points(tree, lam, xs)
+    ids = np.empty(order.shape[0], dtype=np.int64)
+    ids[order] = np.repeat(np.arange(counts.shape[0]), counts)
+    return ids
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,8 +76,10 @@ def penalty_path(partition: PartitionTree, data: Dataset, spec: LossSpec,
         raise InputError("penalty path is defined for supervised families")
     nodes, points = node_members(partition, data.points)
     ys = data.require_responses()[points]
-    del points  # the pairs dominate the fit's memory
-    node_values, node_losses = fit_groups(spec, nodes, ys, box, partition.split_dim.shape[0])
+    # the pairs come sorted by node, so the responses are grouped already
+    counts = np.bincount(nodes, minlength=partition.split_dim.shape[0])
+    del nodes, points  # the pairs dominate the fit's memory
+    node_values, node_losses = fit_groups(spec, counts, ys, box)
 
     splits = np.flatnonzero(partition.split_dim >= 0)
     # a parent is born no later than its children and precedes them in pre-order

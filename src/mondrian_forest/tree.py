@@ -9,7 +9,7 @@ import numpy as np
 from .core import Dataset, InputError, ValueBox, as_points
 from .leaf_fit import fit_groups
 from .losses import LossSpec, loss_eval
-from .partition import PartitionTree, leaf_count_at, locate_batch
+from .partition import PartitionTree, group_points, locate_batch
 
 
 @dataclass(frozen=True)
@@ -29,23 +29,19 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
              spec: LossSpec, box: ValueBox) -> FittedTree:
     """Fit the constant of every leaf of the time-``lam`` partition.
 
-    Points are assigned to leaves in one :func:`locate_batch` call (a
-    binary search over the leaf edges in d = 1, a vectorized descent
-    otherwise); one
-    :func:`fit_groups` call then solves every leaf's box-constrained scalar
-    problem on the responses that landed in it. An empty dataset leaves
-    every leaf at the empty default.
+    One :func:`group_points` walk groups the points by leaf (a binary
+    search over the leaf edges in d = 1, an in-place partition of the point
+    indices split by split otherwise); one :func:`fit_groups` call then
+    solves every leaf's box-constrained scalar problem on the responses
+    taken in that order. An empty dataset leaves every leaf at the empty
+    default.
     """
     if data.dimension != partition.dimension:
         raise InputError(
             f"data dimension {data.dimension} does not match partition "
             f"dimension {partition.dimension}")
-    leaf_count = leaf_count_at(partition, lam)
-    if data.n == 0:
-        values = np.full(leaf_count, box.clip(0.0))
-    else:
-        ids = locate_batch(partition, lam, data.points)
-        values, _ = fit_groups(spec, ids, data.require_responses(), box, leaf_count)
+    order, counts = group_points(partition, lam, data.points)
+    values, _ = fit_groups(spec, counts, data.require_responses()[order], box)
     return FittedTree(partition=partition, lam=float(lam), leaf_values=values)
 
 

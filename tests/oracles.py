@@ -70,6 +70,14 @@ def leaf_cells_walk(tree: PartitionTree, lam: float) -> list[Cell]:
     return cells
 
 
+def group_by_ids(ids, group_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(counts, order)`` that group responses with group ids ``ids``:
+    ``ys[order]`` lists group 0's responses, then group 1's, each group's in
+    its original order, and ``counts`` has one entry per group."""
+    ids = np.asarray(ids)
+    return np.bincount(ids, minlength=group_count), np.argsort(ids, kind="stable")
+
+
 def grid_minimum(spec: LossSpec, ys, box: ValueBox,
                  points: int = 100_000) -> tuple[float, float]:
     """Minimize the summed leaf loss over a dense grid of candidate values.

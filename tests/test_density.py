@@ -24,12 +24,13 @@ from mondrian_forest import (
     save_density_model,
     volume,
 )
+from mondrian_forest import density as density_module
 from mondrian_forest.density import (
     _scale_equation_heights,
     density_objective,
     overlay_breakpoints,
 )
-from mondrian_forest.partition import LOCKSTEP_MAX_POINTS
+from mondrian_forest.partition import LOCKSTEP_MAX_POINTS, compile_index
 
 from oracles import density_opt_reference
 
@@ -279,3 +280,19 @@ def test_density_model_round_trip(tmp_path):
     assert np.array_equal(density_eval_batch(model, grid),
                           density_eval_batch(back, grid))
     assert back.log_normalizer == model.log_normalizer
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_density_fit_compiles_its_query_index_once(dimension, monkeypatch):
+    # ln Z is integrated with the index the returned model keeps
+    calls = []
+
+    def counting(trees):
+        calls.append(1)
+        return compile_index(trees)
+
+    monkeypatch.setattr(density_module, "compile_index", counting)
+    xs = np.random.default_rng(41).random((300, dimension))
+    model = fit_density_forest(xs, 3.0, 4, 42, ValueBox(-3, 3), grid_points=256)
+    assert len(calls) == 1
+    assert log_normalizer(model) == model.log_normalizer

@@ -1,6 +1,7 @@
 """Tests for the per-leaf constrained scalar fit and its closed forms."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,17 @@ from mondrian_forest import (
     golden_section_min,
     loss_eval,
 )
-from mondrian_forest.leaf_fit import CLOSED_FORM, EMPTY_DEFAULT, SOLVER, fit_groups
+from mondrian_forest import leaf_fit
+from mondrian_forest.leaf_fit import (
+    CLOSED_FORM,
+    EMPTY_DEFAULT,
+    SOLVER,
+    SOLVER_FAMILIES,
+    fit_groups,
+)
 from mondrian_forest.losses import ALL_FAMILIES
 
-from oracles import grid_minimum, leaf_loss_sum
+from oracles import group_by_ids, grid_minimum, leaf_loss_sum
 
 
 def test_squared_mean_and_projection():
@@ -198,7 +206,8 @@ def test_group_sums_are_taken_as_np_sum_takes_them():
     ids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     ys = rng.standard_t(3, ids.size)
     spec = LossSpec("squared")
-    values, losses = fit_groups(spec, ids, ys, ValueBox(-50, 50), len(sizes))
+    counts, order = group_by_ids(ids, len(sizes))
+    values, losses = fit_groups(spec, counts, ys[order], ValueBox(-50, 50))
     for g in range(len(sizes)):
         members = ys[ids == g]
         assert values[g] == np.mean(members)
@@ -225,22 +234,68 @@ def every_family(test):
     return test
 
 
-@every_family
-@given(st.sampled_from(ALL_FAMILIES),
-       st.lists(st.tuples(st.integers(0, 2), st.floats(-4.0, 4.0)), min_size=1, max_size=10),
-       st.floats(0.05, 0.95), st.floats(0.2, 3.0))
-def test_property_fit_groups_is_one_fit_per_group(family, rows, tau, delta):
+def check_one_fit_per_group(family, rows, tau, delta, block):
     spec = LossSpec(family, tau=tau if family == "pinball" else None,
                     delta=delta if family == "huber" else None)
     ids = np.array([g for g, _ in rows])
     ys = family_responses(family, np.array([y for _, y in rows]))
     box = default_value_box(spec, max(ys.size, 2))
-    values, losses = fit_groups(spec, ids, ys, box, 4)  # group 3 stays empty
-    for g in range(4):
-        one = fit_leaf(spec, ys[ids == g], box)
+    ones = [fit_leaf(spec, ys[ids == g], box) for g in range(4)]
+    counts, order = group_by_ids(ids, 4)  # group 3 stays empty
+    with mock.patch.object(leaf_fit, "BLOCK", block):
+        values, losses = fit_groups(spec, counts, ys[order], box)
+    for g, one in enumerate(ones):
         assert (values[g], losses[g]) == (one.value, one.achieved_loss)
         assert box.holds(values[g])
         if np.any(ids == g):
             # criterion 3's tolerance
             _, grid_min = grid_minimum(spec, ys[ids == g], box)
             assert losses[g] <= grid_min + 1e-6 * (1.0 + abs(grid_min))
+
+
+@every_family
+@given(st.sampled_from(ALL_FAMILIES),
+       st.lists(st.tuples(st.integers(0, 2), st.floats(-4.0, 4.0)), min_size=1, max_size=10),
+       st.floats(0.05, 0.95), st.floats(0.2, 3.0))
+def test_property_fit_groups_is_one_fit_per_group(family, rows, tau, delta):
+    check_one_fit_per_group(family, rows, tau, delta, leaf_fit.BLOCK)
+
+
+@every_family
+@given(st.sampled_from(ALL_FAMILIES),
+       st.lists(st.tuples(st.integers(0, 2), st.floats(-4.0, 4.0)), min_size=1, max_size=10),
+       st.floats(0.05, 0.95), st.floats(0.2, 3.0))
+def test_property_fit_groups_in_blocks_of_three(family, rows, tau, delta):
+    # runs cut by many block edges, against one-group fits in one block
+    check_one_fit_per_group(family, rows, tau, delta, 3)
+
+
+@pytest.mark.parametrize("family", SOLVER_FAMILIES)
+@pytest.mark.parametrize("first", [leaf_fit.BLOCK - 2, leaf_fit.BLOCK - 1, leaf_fit.BLOCK])
+def test_solver_groups_straddling_block_edges(family, first):
+    # the first run (its head slot and `first` responses) ends one slot before,
+    # at, or one slot after the first block edge, and the run of
+    # 2 * BLOCK + 50 responses is cut by the next two edges
+    spec = LossSpec(family, delta=0.5 if family == "huber" else None)
+    counts = np.array([first, 0, 2 * leaf_fit.BLOCK + 50, 1, 3])
+    ys = family_responses(family, np.random.default_rng(first).standard_t(3, counts.sum()))
+    box = default_value_box(spec, ys.size)
+    values, losses = fit_groups(spec, counts, ys, box)
+    ends = np.cumsum(counts)
+    for g, (start, stop) in enumerate(zip(ends - counts, ends)):
+        one = fit_leaf(spec, ys[start:stop], box)
+        assert (values[g], losses[g]) == (one.value, one.achieved_loss), g
+
+
+@pytest.mark.parametrize("counts,why", [
+    (np.array([1.0, 2.0]), "float counts"),
+    (np.array([True, True, True]), "boolean counts"),
+    (np.array([[1, 2]]), "two-dimensional counts"),
+    (np.array([4, -1]), "a negative count"),
+    (np.array([1, 1]), "counts summing below the responses"),
+    (np.array([2, 2]), "counts summing above the responses"),
+    (np.array([], dtype=np.int64), "no groups for some responses"),
+])
+def test_fit_groups_rejects_bad_counts(counts, why):
+    with pytest.raises(InputError):
+        fit_groups(LossSpec("squared"), counts, [1.0, 2.0, 3.0], ValueBox(-5, 5))

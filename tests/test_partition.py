@@ -24,6 +24,7 @@ from mondrian_forest import (
 )
 from mondrian_forest.partition import (
     _node_bounds,
+    group_points,
     leaf_nodes,
     load_model,
     node_members,
@@ -196,6 +197,43 @@ def test_locate_agrees_with_scan():
         lo = np.asarray(cell.lo)
         hi = np.asarray(cell.hi)
         assert np.all((xs[i] >= lo) & ((xs[i] < hi) | (hi == 1.0)))
+
+
+@given(st.integers(1, 3), st.floats(0.0, 8.0), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1), st.integers(0, 60))
+def test_property_group_points_groups_the_leaf_ids(dimension, horizon, share, seed, n):
+    tree = sample_partition(dimension, horizon, seed)
+    lam = share * horizon
+    rng = np.random.default_rng(seed)
+    xs = rng.random((n, dimension))
+    # about half the points get one coordinate exactly on a split's threshold
+    splits = np.flatnonzero(tree.split_dim >= 0)
+    if splits.size:
+        on = splits[rng.integers(0, splits.size, n)]
+        rows = np.flatnonzero(rng.random(n) < 0.5)
+        xs[rows, tree.split_dim[on[rows]]] = tree.threshold[on[rows]]
+    ids = locate_batch(tree, lam, xs)
+    order, counts = group_points(tree, lam, xs)
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+    assert np.array_equal(counts, np.bincount(ids, minlength=leaf_count_at(tree, lam)))
+    for i in range(0, n, 7):
+        assert ids[i] == locate_scan(tree, lam, xs[i])
+
+
+def test_group_points_keeps_empty_leaves_and_empty_batches():
+    manual = two_leaf_tree(threshold=0.5)
+    order, counts = group_points(manual, 2.0, np.array([[0.9], [0.5], [0.7]]))
+    assert order.tolist() == [0, 1, 2] and counts.tolist() == [0, 3]
+    # x < 0.5 is leaf 0; the right half splits at y = 0.5 into leaves 1 and 2
+    square = PartitionTree(2, 2.0, [0, -1, 1, -1, -1], [0.5, math.nan, 0.5, math.nan, math.nan],
+                           [0.5, math.inf, 1.0, math.inf, math.inf], "manual")
+    order, counts = group_points(square, 2.0, np.array([[0.2, 0.9], [0.7, 0.5], [0.1, 0.1]]))
+    assert order.tolist() == [0, 2, 1] and counts.tolist() == [2, 0, 1]
+    for dimension in (1, 2):
+        tree = sample_partition(dimension, 5.0, 3)
+        order, counts = group_points(tree, 5.0, np.empty((0, dimension)))
+        assert order.shape == (0,)
+        assert counts.tolist() == [0] * leaf_count_at(tree, 5.0)
 
 
 def test_locate_batch_leaves_no_reference_cycle():

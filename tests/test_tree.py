@@ -18,7 +18,7 @@ from mondrian_forest import (
 )
 from mondrian_forest.leaf_fit import fit_groups, fit_leaf
 
-from oracles import leaf_loss_sum
+from oracles import group_by_ids, leaf_loss_sum
 
 
 def make_data(seed: int, n: int, d: int = 1):
@@ -33,7 +33,8 @@ def test_fit_groups_matches_brute_force_grouping():
     ids = rng.integers(0, 7, size=300)
     ys = rng.normal(size=300)
     spec, box = LossSpec("squared"), ValueBox(-10, 10)
-    values, losses = fit_groups(spec, ids, ys, box, 8)  # group 7 is empty
+    counts, order = group_by_ids(ids, 8)  # group 7 is empty
+    values, losses = fit_groups(spec, counts, ys[order], box)
     for leaf in range(8):
         members = ys[np.flatnonzero(ids == leaf)]
         one = fit_leaf(spec, members, box)
