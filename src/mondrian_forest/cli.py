@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for input errors, 3 for resource-budget
-errors, 4 for numeric failures. All outputs are byte-deterministic for a
-fixed seed, except the measured wall_ms column of `converge`.
+errors and failed allocations, 4 for numeric failures. All outputs are
+byte-deterministic for a fixed seed, except the wall_ms column of `converge`.
 """
 
 from __future__ import annotations
@@ -250,15 +250,28 @@ def _cmd_partition_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: an integer in [0, 2**64), the range numpy seeds take."""
+def _integer(text: str) -> int:
     try:
-        seed = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2**64), the range numpy seeds take."""
+    seed = _integer(text)
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
     return seed
+
+
+def _count(text: str) -> int:
+    """A count flag's value: an integer below 2**53, as many float64s as fill
+    the 64 PiB an x86-64 process can address at most. Commands check lower bounds."""
+    count = _integer(text)
+    if count >= 2**53:
+        raise argparse.ArgumentTypeError(f"must be below 2**53, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,15 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, trees: bool = True) -> None:
         p.add_argument("--seed", type=_seed, default=0)
         if trees:
-            p.add_argument("--trees", type=int, default=DEFAULT_TREE_COUNT)
+            p.add_argument("--trees", type=_count, default=DEFAULT_TREE_COUNT)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--target", default="sine", choices=TARGET_KINDS)
     p.add_argument("--amplitude", type=float, default=0.5)
     p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--d", type=_count, default=1)
     p.add_argument("--sigma", type=float, default=0.3)
     p.add_argument("--out", required=True)
     add_common(p, trees=False)
@@ -327,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--box")
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=2**15)
-    p.add_argument("--eval-grid", dest="eval_grid", type=int, default=1000)
+    p.add_argument("--grid-points", dest="grid_points", type=_count, default=2**15)
+    p.add_argument("--eval-grid", dest="eval_grid", type=_count, default=1000)
     p.add_argument("--eval-out", dest="eval_out")
     add_common(p)
     p.set_defaults(func=_cmd_density)
@@ -338,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="sine", choices=TARGET_KINDS)
     p.add_argument("--amplitude", type=float, default=0.5)
     p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=_count, default=1)
     p.add_argument("--n-grid", dest="n_grid", required=True,
                    help="comma-separated ascending sample sizes")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_count, default=5)
     p.add_argument("--p", type=float, default=1.0,
                    help="smoothness for the horizon schedule")
     p.add_argument("--lambda", dest="lam", type=float,
@@ -351,15 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.3)
     p.add_argument("--tau", type=float)
     p.add_argument("--loss", help="override the task's default loss")
-    p.add_argument("--test-points", dest="test_points", type=int, default=10_000)
+    p.add_argument("--test-points", dest="test_points", type=_count, default=10_000)
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("partition-stats", help="leaf-count and diameter statistics")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_count, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--m-trees", dest="m_trees", type=int, default=2000)
+    p.add_argument("--m-trees", dest="m_trees", type=_count, default=2000)
     add_common(p, trees=False)
     p.set_defaults(func=_cmd_partition_stats)
 
@@ -374,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except ResourceError as exc:
+    except (ResourceError, MemoryError) as exc:
         sys.stderr.write(f"resource error: {exc}\n")
         return 3
     except (NumericError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:

@@ -312,6 +312,8 @@ def density_model_from_obj(obj: dict) -> DensityModel:
         raise InputError("density model has no trees")
     trees = tuple(DensityTree(partition, heights) for partition, _, heights in
                   (tree_from_obj(t, dimension) for t in tree_objs))
+    if isinstance(integration, ExactOverlay) and dimension != 1:
+        raise InputError(f"exact overlay normalization requires d = 1, not d = {dimension}")
     return DensityModel(trees=trees, log_normalizer=log_z, integration=integration)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -98,9 +98,17 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A sweep's rows and the log-log slope of their mean curve (NaN for one n)."""
+
     rows: tuple[tuple[int, int, float, float], ...]  # (n, rep, excess, wall_ms)
-    slope: float
-    slope_se: float
+    slope: float = field(init=False)
+    slope_se: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        curve = self.mean_curve()
+        fit = slope_fit(list(curve), list(curve.values())) if len(curve) >= 2 else (math.nan,) * 2
+        object.__setattr__(self, "slope", fit[0])
+        object.__setattr__(self, "slope_se", fit[1])
 
     def mean_curve(self) -> dict[int, float]:
         sums: dict[int, list[float]] = {}
@@ -182,13 +190,7 @@ def run_convergence(spec: ExperimentSpec, csv_out: IO[str] | None = None) -> Exp
             if csv_out is not None:
                 csv_out.write(f"{n},{rep},{repr(excess)},{repr(wall_ms)}\n")
                 csv_out.flush()
-    curve = {}
-    for n, _, excess, _ in rows:
-        curve.setdefault(n, []).append(excess)
-    ns = sorted(curve)
-    means = [float(np.mean(curve[n])) for n in ns]
-    slope, slope_se = slope_fit(ns, means) if len(ns) >= 2 else (math.nan, math.nan)
-    return ExperimentResult(rows=tuple(rows), slope=slope, slope_se=slope_se)
+    return ExperimentResult(rows=tuple(rows))
 
 
 def partition_stats(dimension: int, lam: float, tree_count: int,

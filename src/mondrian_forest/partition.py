@@ -324,33 +324,35 @@ def _search_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, x, side="right")
 
 
-def _leaf_segments(split_dim: list, threshold: list, right: list, root: int,
+def _node_segments(split_dim: list, threshold: list, right: list, root: int,
                    columns: list, order: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Every leaf below ``root`` that a point reaches, with its points.
+    """Every node below ``root`` that a point reaches, in pre-order, with its points.
 
     ``order`` holds point indices and is partitioned in place: each split
-    moves the points of its left child before those of its right child, so
-    every node's points are one segment of ``order``. Yields (leaf node,
-    its segment), a view that the next step overwrites. The left child of
-    node ``i`` is ``i + 1``; ``columns[j]`` is coordinate ``j`` of every point.
+    moves the points of its left child before those of its right child,
+    keeping index order, so every node's points are one segment of ``order``.
+    Yields (node, its segment) before the node's split partitions it, a view
+    in increasing index order that the next step overwrites. The left child
+    of node ``i`` is ``i + 1``; ``columns[j]`` is coordinate ``j`` of every point.
     """
     stack = [(root, 0, order.shape[0])] if order.shape[0] else []
     while stack:
         node, start, stop = stack.pop()
         segment = order[start:stop]
+        yield node, segment
         dim = split_dim[node]
         if dim < 0:
-            yield node, segment
             continue
         go_left = columns[dim][segment] < threshold[node]
         left = segment[go_left]
         k = left.shape[0]
         segment[k:] = segment[~go_left]
         segment[:k] = left
-        if k:
-            stack.append((node + 1, start, start + k))
+        # the left child is pushed last, so it comes out first: pre-order
         if k < stop - start:
             stack.append((right[node], start + k, stop))
+        if k:
+            stack.append((node + 1, start, start + k))
 
 
 def _columns(points: np.ndarray) -> list[np.ndarray]:
@@ -378,10 +380,29 @@ def group_points(tree: PartitionTree, lam: float, xs) -> tuple[np.ndarray, np.nd
     split_dim = np.where(tree.birth_time <= lam, tree.split_dim, -1).tolist()
     order = np.arange(points.shape[0])
     counts = np.zeros(tree.split_dim.shape[0], dtype=np.int64)
-    for node, segment in _leaf_segments(split_dim, tree.threshold.tolist(), tree.right.tolist(),
+    for node, segment in _node_segments(split_dim, tree.threshold.tolist(), tree.right.tolist(),
                                         0, _columns(points), order):
         counts[node] = segment.shape[0]
     return order, counts[leaf_nodes(tree, lam)]
+
+
+def node_groups(tree: PartitionTree, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The points of every node of the genealogy, grouped: ``(order, counts)``.
+
+    The every-node twin of :func:`group_points`: ``order`` lists the point
+    indices node by node in pre-order, each node's in increasing index order,
+    and ``counts[i]`` is the number of points in node ``i``'s cell. Each point
+    goes down the whole genealogy once: ``order`` holds about n times depth entries.
+    """
+    points = as_points(xs, dimension=tree.dimension)
+    counts = np.zeros(tree.split_dim.shape[0], dtype=np.int64)
+    groups = [np.empty(0, dtype=np.int64)]
+    for node, segment in _node_segments(tree.split_dim.tolist(), tree.threshold.tolist(),
+                                        tree.right.tolist(), 0, _columns(points),
+                                        np.arange(points.shape[0])):
+        counts[node] = segment.shape[0]
+        groups.append(segment.copy())
+    return np.concatenate(groups), counts
 
 
 def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
@@ -464,9 +485,10 @@ class QueryIndex:
         order = np.arange(points.shape[0])
         values = np.empty(points.shape[0])
         for root in self.roots.tolist():
-            for node, segment in _leaf_segments(split_dim, threshold, right, root,
+            for node, segment in _node_segments(split_dim, threshold, right, root,
                                                 columns, order):
-                values[segment] = value[node]
+                if split_dim[node] < 0:
+                    values[segment] = value[node]
             total += values
 
 
@@ -479,16 +501,16 @@ def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> Q
     dimension = trees[0][0].dimension
     if any(partition.dimension != dimension for partition, _, _ in trees):
         raise InputError("the trees of a model differ in dimension")
+    for b, (partition, lam, v) in enumerate(trees):
+        leaves = leaf_count_at(partition, lam)
+        if v.shape != (leaves,):
+            raise InputError(f"tree {b} has {v.size} values for {leaves} leaves")
     values = tuple(v for _, _, v in trees)
     if dimension == 1:
         edges = tuple(_edges_born_by(partition, lam) for partition, lam, _ in trees)
-        if any(v.shape != (e.shape[0] + 1,) for e, v in zip(edges, values)):
-            raise InputError("a tree needs one value per leaf")
         return QueryIndex(dimension=1, tree_count=len(trees), edges=edges, leaf_values=values)
     parts = [prune(partition, lam)[0] for partition, lam, _ in trees]
     sizes = np.array([p.split_dim.shape[0] for p in parts])
-    if any(v.shape != ((n + 1) // 2,) for n, v in zip(sizes.tolist(), values)):
-        raise InputError("a tree needs one value per leaf")
     roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     split_dim = np.concatenate([p.split_dim for p in parts])
     leaf = split_dim < 0
@@ -508,40 +530,6 @@ def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> Q
         child=np.column_stack((np.where(leaf, node, node + 1),
                                np.where(leaf, node, right))).ravel(),
         depth=depth)
-
-
-def node_members(tree: PartitionTree, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Every (node, point) pair of the genealogy whose node's cell holds the point.
-
-    Returns the pairs as a node array and a point-index array, sorted by
-    node and then by point. Each point goes down the whole genealogy once,
-    so there are about n times the depth pairs; nodes no point reaches have
-    none.
-    """
-    points = as_points(xs, dimension=tree.dimension)
-    nodes: list[int] = []
-    members: list[np.ndarray] = []
-    # a stack, not a recursive closure: a closure that calls itself is a
-    # reference cycle, and would keep every member array until the next
-    # garbage collection
-    stack = [(0, np.arange(points.shape[0]))] if points.shape[0] else []
-    while stack:
-        node, idx = stack.pop()
-        nodes.append(node)
-        members.append(idx)
-        dim = tree.split_dim[node]
-        if dim < 0:
-            continue
-        go_left = points[idx, dim] < tree.threshold[node]
-        # the left child is pushed last, so it comes out first: pre-order
-        for child, part in ((tree.right[node], idx[~go_left]), (node + 1, idx[go_left])):
-            if part.size:
-                stack.append((child, part))
-    if not nodes:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    sizes = [m.size for m in members]
-    return np.repeat(np.asarray(nodes, dtype=np.int64), sizes), np.concatenate(members)
 
 
 def partition_to_obj(tree: PartitionTree) -> dict:
@@ -607,7 +595,8 @@ def tree_to_obj(partition: PartitionTree, lam: float, values) -> dict:
 def tree_from_obj(obj: dict, dimension: int,
                   box: ValueBox | None = None) -> tuple[PartitionTree, float, np.ndarray]:
     """Read :func:`tree_to_obj` output as (partition, its horizon, values),
-    checking that there is one finite value per leaf, inside ``box`` if given."""
+    checking that the values are finite and inside ``box`` if given;
+    :func:`compile_index` checks that there is one value per leaf."""
     try:
         partition_obj = obj["partition"]
         values = np.asarray(obj["values"], dtype=float)
@@ -616,9 +605,6 @@ def tree_from_obj(obj: dict, dimension: int,
     partition = partition_from_obj(partition_obj)
     if partition.dimension != dimension:
         raise InputError(f"tree dimension {partition.dimension} is not the model's {dimension}")
-    leaf_count = leaf_count_at(partition, partition.horizon)
-    if values.shape != (leaf_count,):
-        raise InputError(f"tree has {values.size} values for {leaf_count} leaves")
     if not np.all(np.isfinite(values)) or (box is not None and not box.holds(values)):
         raise InputError("tree values must be finite and inside the value box")
     values.flags.writeable = False

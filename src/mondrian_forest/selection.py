@@ -8,10 +8,10 @@ horizons lies on the finite set {0} U {split birth times}.
 
 Every genealogy node holds a fixed set of points, hence a fixed fitted
 value and summed loss L(node), and the tree at any horizon is a set of
-nodes. So one grouped leaf fit over all (point, node) pairs gives every
-node's value and loss, and the summed risk at each birth time is L(root)
-plus the running sum of L(left) + L(right) - L(parent) over the splits
-born so far.
+nodes. So one grouped leaf fit over the points of every node (grouped by
+``partition.node_groups``) gives every node's value and loss, and the
+summed risk at each birth time is L(root) plus the running sum of
+L(left) + L(right) - L(parent) over the splits born so far.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
 from .forest import Forest
 from .leaf_fit import fit_groups
 from .losses import LossSpec
-from .partition import PartitionTree, node_members, prune, sample_forest
+from .partition import PartitionTree, node_groups, prune, sample_forest
 from .tree import FittedTree
 
 DEFAULT_ALPHA = 0.1
@@ -74,12 +74,8 @@ def penalty_path(partition: PartitionTree, data: Dataset, spec: LossSpec,
         raise InputError("data dimension does not match partition dimension")
     if spec.family == "density":
         raise InputError("penalty path is defined for supervised families")
-    nodes, points = node_members(partition, data.points)
-    ys = data.require_responses()[points]
-    # the pairs come sorted by node, so the responses are grouped already
-    counts = np.bincount(nodes, minlength=partition.split_dim.shape[0])
-    del nodes, points  # the pairs dominate the fit's memory
-    node_values, node_losses = fit_groups(spec, counts, ys, box)
+    order, counts = node_groups(partition, data.points)
+    node_values, node_losses = fit_groups(spec, counts, data.require_responses()[order], box)
 
     splits = np.flatnonzero(partition.split_dim >= 0)
     # a parent is born no later than its children and precedes them in pre-order

@@ -306,6 +306,47 @@ def test_seed_outside_64_bits_is_an_input_error(tmp_path, command, seed):
     assert "--seed" in proc.stderr
 
 
+# counts that no address space holds (2**55 float64 values are 256 PiB), so
+# a build without the count check fails at its first allocation, at once
+COUNT_COMMANDS = {
+    "--n": ["gen", "--task", "gaussian", "--out", "{out}"],
+    "--eval-grid": ["density", "--input", "{points}", "--lambda", "1.0", "--trees", "2",
+                    "--out", "{out}", "--eval-out", "{out}.csv"],
+    "--grid-points": ["density", "--input", "{points2}", "--lambda", "1.0", "--trees", "2",
+                      "--out", "{out}"],
+    "--test-points": ["converge", "--task", "gaussian", "--n-grid", "20,40", "--reps", "1",
+                      "--trees", "1", "--out", "{out}"],
+}
+HUGE_COUNTS = [(flag, count) for flag in COUNT_COMMANDS for count in (2**55, 2**62)] + \
+    [("--eval-grid", 10**20)]
+
+
+@pytest.mark.parametrize("flag,count", HUGE_COUNTS, ids=[f"{f} {c}" for f, c in HUGE_COUNTS])
+def test_counts_beyond_any_address_space_are_input_errors(tmp_path, flag, count):
+    paths = {"out": tmp_path / "out", "points": tmp_path / "points.csv",
+             "points2": tmp_path / "points2.csv"}
+    paths["points"].write_text("x1\n0.2\n0.7\n")
+    paths["points2"].write_text("x1,x2\n0.2,0.4\n0.7,0.1\n")
+    argv = [arg.format(**paths) for arg in COUNT_COMMANDS[flag]]
+    proc = subprocess.run([sys.executable, "-m", "mondrian_forest", *argv, flag, str(count)],
+                          capture_output=True, text=True, env=os.environ.copy())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert flag in proc.stderr and "2**53" in proc.stderr
+
+
+def test_failed_allocation_is_a_resource_error(tmp_path, monkeypatch, capsys):
+    def huge_gen(args):
+        np.zeros((2**55, 1))  # 256 PiB: no address space holds it, so it fails at once
+
+    monkeypatch.setattr(cli, "_cmd_gen", huge_gen)
+    capsys.readouterr()
+    assert main(["gen", "--task", "gaussian", "--n", "5",
+                 "--out", str(tmp_path / "data.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error:") and "Traceback" not in err
+
+
 def test_exit_code_numeric_error(tmp_path):
     huge = tmp_path / "huge.csv"
     huge.write_text("x1,y\n0.25,1e200\n0.75,-1e200\n")
@@ -420,22 +461,27 @@ MALFORMED_MODELS = [
      lambda m: {**m, "integration": {"method": "grid", "point_count": math.inf, "seed": 0}}),
     ("density", "integration grid of 8.7 points",
      lambda m: {**m, "integration": {"method": "grid", "point_count": 8.7, "seed": 0}}),
+    ("density-d2", "overlay integration in 2-d",
+     lambda m: {**m, "integration": {"method": "overlay"}}),
     ("dataset", "not ASCII", lambda m: b"x1,y\n\xff,1\n"),
 ]
 
 
 def _model_file(tmp_path, kind):
-    """A fitted forest (or, for "density", density) model of two trees, its
-    training data and its JSON object."""
+    """A fitted forest (or, for "density", a 1-d density and for
+    "density-d2" a 2-d density) model of two trees, its training data and
+    its JSON object."""
     data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
-    if kind != "density":
+    if not kind.startswith("density"):
         assert main(["gen", "--task", "gaussian", "--n", "60", "--out", str(data_csv)]) == 0
         assert main(["fit", "--input", str(data_csv), "--loss", "l2", "--lambda", "6",
                      "--trees", "2", "--out", str(model_path)]) == 0
     else:
-        assert main(["gen", "--task", "density", "--n", "60", "--out", str(data_csv)]) == 0
-        assert main(["density", "--input", str(data_csv), "--lambda", "6",
-                     "--trees", "2", "--out", str(model_path)]) == 0
+        d = "2" if kind == "density-d2" else "1"
+        assert main(["gen", "--task", "density", "--n", "60", "--d", d,
+                     "--out", str(data_csv)]) == 0
+        assert main(["density", "--input", str(data_csv), "--lambda", "6", "--trees", "2",
+                     "--grid-points", "256", "--out", str(model_path)]) == 0
     model = json.loads(model_path.read_text())
     assert model["trees"][0]["partition"]["split_dim"][0] >= 0  # the cases need two splits
     assert len(model["trees"][0]["partition"]["threshold"]) >= 2
@@ -474,6 +520,9 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
         err = str(raised.value)
     if case == "v2 file":
         assert f"mondrian-{kind}-v3" in err
+    if case in ("values cut short", "one value too many", "heights cut short"):
+        leaves = len(model["trees"][0]["partition"]["threshold"]) + 1
+        assert "tree 0 has" in err and f"values for {leaves} leaves" in err
 
 
 def _huge_dimension(model):

@@ -27,7 +27,7 @@ from mondrian_forest.partition import (
     group_points,
     leaf_nodes,
     load_model,
-    node_members,
+    node_groups,
     partition_from_obj,
     prune,
     partition_to_obj,
@@ -383,15 +383,24 @@ def test_property_codec_text_round_trips_bit_for_bit(case, data):
 
 
 @given(genealogies(), st.data())
-def test_property_node_members_are_every_leaf_holding_each_point(case, data):
+def test_property_node_groups_are_every_leaf_holding_each_point(case, data):
     tree, _ = case
     coordinate = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
         [0.0, 1.0] + tree.threshold[tree.split_dim >= 0].tolist()))
     xs = np.array(data.draw(st.lists(
         st.lists(coordinate, min_size=tree.dimension, max_size=tree.dimension),
         min_size=1, max_size=15)))
-    nodes, points = node_members(tree, xs)
+    points, counts = node_groups(tree, xs)
+    assert counts.shape == tree.split_dim.shape
+    nodes = np.repeat(np.arange(counts.shape[0]), counts)
     # the nodes on a point's path are its leaves at time 0 and at every birth
     expected = sorted({(int(leaf_nodes(tree, lam)[locate_scan(tree, lam, x)]), i)
                        for i, x in enumerate(xs) for lam in [0.0] + split_times(tree)})
     assert list(zip(nodes.tolist(), points.tolist())) == expected
+
+
+def test_node_groups_of_no_points_are_empty():
+    tree = sample_partition(2, 3.0, 8)
+    order, counts = node_groups(tree, np.empty((0, 2)))
+    assert order.dtype == np.int64 and order.shape == (0,)
+    assert counts.tolist() == [0] * tree.split_dim.shape[0]

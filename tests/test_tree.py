@@ -62,6 +62,19 @@ def test_empty_dataset_gives_default_values():
     assert np.all(tree.leaf_values == -0.5)
 
 
+def test_fit_below_the_horizon_keeps_the_whole_genealogy():
+    # a caller may refit one sampled genealogy at any earlier lambda and
+    # read the tree's lambda back; fit_tree does not prune
+    part = sample_partition(2, 3.0, 23)
+    data = make_data(24, 200, d=2)
+    lam = split_times(part)[len(split_times(part)) // 2]
+    assert lam < part.horizon
+    tree = fit_tree(part, lam, data, LossSpec("squared"), ValueBox(-10, 10))
+    assert tree.partition is part
+    assert tree.lam == lam
+    assert tree.leaf_values.shape == (len(leaves_at(part, lam)),)
+
+
 def test_leaves_see_only_their_points():
     part = sample_partition(1, 3.0, 33)
     data = make_data(34, 400)
