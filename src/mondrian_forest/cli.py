@@ -117,6 +117,7 @@ def _read_raw_points(path: str, clamp_points: bool) -> np.ndarray:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_cells(args.n, args.d, "--n x --d")
     target = TargetFunction(kind=args.target, amplitude=args.amplitude,
                             offset=args.offset)
     data = generate(args.task, target, args.n, args.d, args.seed,
@@ -205,6 +206,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.eval_grid < 0:
         raise InputError(f"--eval-grid must be >= 0, got {args.eval_grid}")
     data = load_dataset_csv(args.input)
+    _check_cells(args.grid_points, data.dimension, "--grid-points x the dimension of --input")
+    _check_cells(args.eval_grid, data.dimension, "--eval-grid x the dimension of --input")
     model = fit_density_forest(data.points, args.lam, args.trees, args.seed,
                                _value_box(args, data, LossSpec("density")),
                                grid_points=args.grid_points)
@@ -224,6 +227,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         n_grid = tuple(int(v) for v in args.n_grid.split(","))
     except ValueError as exc:
         raise InputError("--n-grid must be comma-separated integers") from exc
+    _check_cells(max(n_grid), args.d, "--n-grid x --d")
+    _check_cells(args.test_points, args.d, "--test-points x --d")
     if args.auto:
         rule: PaperRate | FixedRule | AutoRule = AutoRule(args.alpha)
     elif args.lam is not None:
@@ -272,6 +277,13 @@ def _count(text: str) -> int:
     if count >= 2**53:
         raise argparse.ArgumentTypeError(f"must be below 2**53, got {count}")
     return count
+
+
+def _check_cells(rows: int, columns: int, what: str) -> None:
+    """Bound an array of rows x columns float64s as :func:`_count` bounds one
+    count; commands check lower bounds."""
+    if min(rows, columns) > 0 and rows * columns >= 2**53:
+        raise InputError(f"{what} must be below 2**53, got {rows} x {columns}")
 
 
 def build_parser() -> argparse.ArgumentParser:

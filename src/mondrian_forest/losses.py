@@ -27,7 +27,8 @@ LN2 = math.log(2.0)
 REGRESSION_FAMILIES = ("squared", "pinball", "huber")
 EXPFAMILY_FAMILIES = ("gaussian", "poisson", "bernoulli", "geometric")
 SURROGATE_FAMILIES = ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6")
-ALL_FAMILIES = REGRESSION_FAMILIES + EXPFAMILY_FAMILIES + SURROGATE_FAMILIES + ("density",)
+SUPERVISED_FAMILIES = REGRESSION_FAMILIES + EXPFAMILY_FAMILIES + SURROGATE_FAMILIES
+ALL_FAMILIES = SUPERVISED_FAMILIES + ("density",)
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,10 @@ from mondrian_forest import (
 )
 from mondrian_forest.cli import main
 from mondrian_forest.density import density_eval_batch, overlay_breakpoints
+from mondrian_forest.losses import ALL_FAMILIES, SUPERVISED_FAMILIES
 from mondrian_forest.synth import bayes_error, classification_error
 
 from oracles import brute_force_path, grid_minimum
-
-ALL_FAMILIES = ("squared", "pinball", "huber", "gaussian", "poisson",
-                "bernoulli", "geometric", "phi1", "phi2", "phi3", "phi4",
-                "phi5", "phi6", "density")
 
 
 def _report(capsys, num, name, ok, detail=""):
@@ -384,17 +381,24 @@ def test_criterion_10_closed_forms_match_solver(capsys):
     rng = np.random.default_rng(55)
     ok = True
     worst = 0.0
-    for family in ("gaussian", "poisson", "phi5", "phi6"):
-        spec = LossSpec(family)
+    for family in SUPERVISED_FAMILIES:
+        spec = LossSpec(family, tau=0.3 if family == "pinball" else None,
+                        delta=0.5 if family == "huber" else None)
         box = default_value_box(spec, 500)
         for _ in range(100):
             n = int(rng.integers(1, 40))
-            if family == "gaussian":
+            if family in ("squared", "pinball", "gaussian"):
                 ys = rng.normal(rng.uniform(-2.0, 2.0), 1.0, n)
+            elif family == "huber":
+                ys = rng.uniform(-2.0, 2.0) + rng.standard_t(2, n)
             elif family == "poisson":
                 ys = rng.poisson(rng.uniform(0.2, 4.0), n).astype(float)
+            elif family == "bernoulli":
+                ys = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+            elif family == "geometric":
+                ys = rng.geometric(rng.uniform(0.2, 0.9), n).astype(float)
             else:
-                ys = rng.choice([-1.0, 1.0], n)
+                ys = np.where(rng.random(n) < rng.uniform(0.05, 0.95), 1.0, -1.0)
             result = fit_leaf(spec, ys, box)
             ok = ok and result.method == "closed_form"
 

@@ -310,24 +310,33 @@ def test_seed_outside_64_bits_is_an_input_error(tmp_path, command, seed):
 # a build without the count check fails at its first allocation, at once
 COUNT_COMMANDS = {
     "--n": ["gen", "--task", "gaussian", "--out", "{out}"],
-    "--eval-grid": ["density", "--input", "{points}", "--lambda", "1.0", "--trees", "2",
+    "--eval-grid": ["density", "--input", "{points2}", "--lambda", "1.0", "--trees", "2",
                     "--out", "{out}", "--eval-out", "{out}.csv"],
     "--grid-points": ["density", "--input", "{points2}", "--lambda", "1.0", "--trees", "2",
                       "--out", "{out}"],
     "--test-points": ["converge", "--task", "gaussian", "--n-grid", "20,40", "--reps", "1",
                       "--trees", "1", "--out", "{out}"],
+    "--n-grid": ["converge", "--task", "gaussian", "--reps", "1", "--trees", "1",
+                 "--out", "{out}"],
 }
-HUGE_COUNTS = [(flag, count) for flag in COUNT_COMMANDS for count in (2**55, 2**62)] + \
-    [("--eval-grid", 10**20)]
+HUGE_COUNTS = [(flag, count, []) for flag in COUNT_COMMANDS for count in (2**55, 2**62)] + [
+    ("--eval-grid", 10**20, []),
+    # each count is below 2**53, but not the array it shapes with the data's
+    # dimension (2 for density) or --d
+    ("--n", 2**50, ["--d", "8192"]),
+    ("--eval-grid", 2**52, []),
+    ("--grid-points", 2**52, []),
+    ("--test-points", 2**52, ["--d", "2"]),
+    ("--n-grid", 2**52, ["--d", "2"]),
+]
 
 
-@pytest.mark.parametrize("flag,count", HUGE_COUNTS, ids=[f"{f} {c}" for f, c in HUGE_COUNTS])
-def test_counts_beyond_any_address_space_are_input_errors(tmp_path, flag, count):
-    paths = {"out": tmp_path / "out", "points": tmp_path / "points.csv",
-             "points2": tmp_path / "points2.csv"}
-    paths["points"].write_text("x1\n0.2\n0.7\n")
+@pytest.mark.parametrize("flag,count,extra", HUGE_COUNTS,
+                         ids=[" ".join([f, str(c), *e]) for f, c, e in HUGE_COUNTS])
+def test_counts_beyond_any_address_space_are_input_errors(tmp_path, flag, count, extra):
+    paths = {"out": tmp_path / "out", "points2": tmp_path / "points2.csv"}
     paths["points2"].write_text("x1,x2\n0.2,0.4\n0.7,0.1\n")
-    argv = [arg.format(**paths) for arg in COUNT_COMMANDS[flag]]
+    argv = [arg.format(**paths) for arg in COUNT_COMMANDS[flag]] + extra
     proc = subprocess.run([sys.executable, "-m", "mondrian_forest", *argv, flag, str(count)],
                           capture_output=True, text=True, env=os.environ.copy())
     assert proc.returncode == 2, proc.stderr

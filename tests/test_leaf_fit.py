@@ -17,14 +17,8 @@ from mondrian_forest import (
     loss_eval,
 )
 from mondrian_forest import leaf_fit
-from mondrian_forest.leaf_fit import (
-    CLOSED_FORM,
-    EMPTY_DEFAULT,
-    SOLVER,
-    SOLVER_FAMILIES,
-    fit_groups,
-)
-from mondrian_forest.losses import ALL_FAMILIES
+from mondrian_forest.leaf_fit import CLOSED_FORM, EMPTY_DEFAULT, fit_groups
+from mondrian_forest.losses import ALL_FAMILIES, SUPERVISED_FAMILIES
 
 from oracles import group_by_ids, grid_minimum, leaf_loss_sum
 
@@ -91,7 +85,7 @@ def test_poisson_log_mean():
 def test_huber_wide_delta_matches_mean():
     res = fit_leaf(LossSpec("huber", delta=10.0), [1.0, 2.0, 3.0], ValueBox(-10, 10))
     assert res.value == pytest.approx(2.0, abs=1e-7)
-    assert res.method == SOLVER
+    assert res.method == CLOSED_FORM
 
 
 def test_gaussian_and_squared_share_minimizer():
@@ -143,6 +137,30 @@ def test_surrogates_fit_the_label_side_of_the_box():
         assert fit_leaf(spec, -np.ones(10), box).value == pytest.approx(lo, abs=1e-8), k
 
 
+def test_flat_minimising_sets_take_their_least_point():
+    # every z in [0.5, 2.5] minimises; the box cuts the set from below or above
+    spec = LossSpec("huber", delta=0.5)
+    assert fit_leaf(spec, [0.0, 3.0], ValueBox(-5.0, 5.0)).value == 0.5
+    assert fit_leaf(spec, [0.0, 3.0], ValueBox(1.0, 5.0)).value == 1.0
+    assert fit_leaf(spec, [0.0, 3.0], ValueBox(3.0, 5.0)).value == 3.0
+    # the running sums of 0.1 and 0.2 leave a rounding residue in the gap [0.7, 9.5]
+    assert fit_leaf(spec, [0.1, 0.2, 10.0, 11.0], ValueBox(-20.0, 20.0)).value == 0.7
+    rng = np.random.default_rng(0)
+    for _ in range(200):  # equal halves either side of a gap wider than 2 delta
+        low, high = rng.uniform(0.0, 1.0, 3), rng.uniform(2.5, 3.5, 3)
+        ys = rng.permutation(np.concatenate([low, high]))
+        # the zero's rounding may land an ulp short of the gap's start
+        value = fit_leaf(spec, ys, ValueBox(-5.0, 5.0)).value
+        assert value == pytest.approx(low.max() + 0.5, rel=0.0, abs=1e-12)
+    # a hinge tie is flat on [-1, 1]
+    spec = LossSpec("phi2")
+    assert fit_leaf(spec, [1.0, 1.0, -1.0, -1.0], ValueBox(-5.0, 5.0)).value == -1.0
+    assert fit_leaf(spec, [1.0, 1.0, -1.0, -1.0], ValueBox(-0.5, 5.0)).value == -0.5
+    # tau * n = 2 puts the pinball minimisers between the 2nd and 3rd order statistics
+    spec = LossSpec("pinball", tau=0.5)
+    assert fit_leaf(spec, [4.0, 1.0, 2.0, 9.0], ValueBox(-10.0, 10.0)).value == 2.0
+
+
 def test_hinge_tie_matches_grid_value():
     spec = LossSpec("phi2")
     ys = [1.0, 1.0, -1.0, -1.0]
@@ -180,10 +198,7 @@ def random_instance(family: str, rng):
 
 def test_every_family_close_to_grid_minimum():
     rng = np.random.default_rng(11)
-    families = ("squared", "pinball", "huber", "gaussian", "poisson",
-                "bernoulli", "geometric", "phi1", "phi2", "phi3", "phi4",
-                "phi5", "phi6")
-    for family in families:
+    for family in SUPERVISED_FAMILIES:
         for _ in range(3):
             spec, ys, box = random_instance(family, rng)
             res = fit_leaf(spec, ys, box)
@@ -200,7 +215,7 @@ def test_density_leaf_uses_box_top():
 
 
 def test_group_sums_are_taken_as_np_sum_takes_them():
-    # solver steps compare such sums, so their rounding decides flat-bottom ties
+    # a group's value and loss come from such sums, as a one-leaf fit takes them
     rng = np.random.default_rng(13)
     sizes = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 9000]
     ids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
@@ -270,14 +285,15 @@ def test_property_fit_groups_in_blocks_of_three(family, rows, tau, delta):
     check_one_fit_per_group(family, rows, tau, delta, 3)
 
 
-@pytest.mark.parametrize("family", SOLVER_FAMILIES)
+@pytest.mark.parametrize("family", SUPERVISED_FAMILIES)
 @pytest.mark.parametrize("first", [leaf_fit.BLOCK - 2, leaf_fit.BLOCK - 1, leaf_fit.BLOCK])
 def test_solver_groups_straddling_block_edges(family, first):
-    # the first run (its head slot and `first` responses) ends one slot before,
-    # at, or one slot after the first block edge, and the run of
-    # 2 * BLOCK + 50 responses is cut by the next two edges
-    spec = LossSpec(family, delta=0.5 if family == "huber" else None)
-    counts = np.array([first, 0, 2 * leaf_fit.BLOCK + 50, 1, 3])
+    # groups of about BLOCK responses and more are Huber sweep blocks of their
+    # own, and the last two groups, of different sizes, share one block
+    spec = LossSpec(family, tau=0.3 if family == "pinball" else None,
+                    delta=0.5 if family == "huber" else None)
+    quarter = leaf_fit.BLOCK // 4
+    counts = np.array([first, 0, 2 * leaf_fit.BLOCK + 50, 1, 3, quarter, quarter - 1])
     ys = family_responses(family, np.random.default_rng(first).standard_t(3, counts.sum()))
     box = default_value_box(spec, ys.size)
     values, losses = fit_groups(spec, counts, ys, box)

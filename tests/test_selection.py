@@ -215,9 +215,14 @@ def test_saved_auto_model_is_each_full_genealogy_pruned_at_its_minimiser(tmp_pat
 
 def test_auto_forest_leaf_values_are_a_refit_at_lambda_star():
     data = noisy_data(23, 300, signal=1.0, noise=0.5)
+    signs = np.where(data.responses > 0, 1.0, -1.0)
+    responses = {"bernoulli": (data.responses > 0).astype(float),
+                 "geometric": np.floor(2.0 * np.abs(data.responses)) + 1.0,
+                 "phi2": signs, "phi3": signs, "phi4": signs}
     for spec in (LossSpec("squared"), LossSpec("huber", delta=0.5),
-                 LossSpec("pinball", tau=0.3), LossSpec("bernoulli")):
-        ys = (data.responses > 0).astype(float) if spec.family == "bernoulli" else data.responses
+                 LossSpec("pinball", tau=0.3), LossSpec("bernoulli"), LossSpec("geometric"),
+                 LossSpec("phi2"), LossSpec("phi3"), LossSpec("phi4")):
+        ys = responses.get(spec.family, data.responses)
         fit_data = Dataset(data.points, ys)
         box = default_value_box(spec, data.n)
         config = FitConfig(tree_count=4, lambda_mode=AutoLambda(0.005, 30.0),
