@@ -8,7 +8,7 @@ every point belonging to exactly one cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -284,17 +284,23 @@ def read_csv_columns(path) -> tuple[np.ndarray, np.ndarray | None]:
     expected = [f"x{j + 1}" for j in range(d)] + (["y"] if has_response else [])
     if header != expected or d < 1:
         raise InputError(f"{path}: header must be x1,...,xd[,y], got {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
+    rows = lines[1:]
+    data = np.fromiter(_row_values(path, rows, len(header)), dtype=float,
+                       count=len(rows) * len(header)).reshape(len(rows), len(header))
+    return data[:, :d], (data[:, d] if has_response else None)
+
+
+def _row_values(path, rows: Iterable[str], width: int) -> Iterator[float]:
+    """Every field of ``rows`` through Python's ``float``, streamed; the
+    first row without ``width`` numeric fields is an :class:`InputError`."""
+    for ln in rows:
         parts = ln.split(",")
-        if len(parts) != len(header):
-            raise InputError(f"{path}: row has {len(parts)} fields, expected {len(header)}")
+        if len(parts) != width:
+            raise InputError(f"{path}: row has {len(parts)} fields, expected {width}")
         try:
-            rows.append([float(p) for p in parts])
+            yield from map(float, parts)
         except ValueError as exc:
             raise InputError(f"{path}: non-numeric field in row {ln!r}") from exc
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
-    return data[:, :d], (data[:, d] if has_response else None)
 
 
 def load_dataset_csv(path) -> Dataset:

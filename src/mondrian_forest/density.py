@@ -42,8 +42,8 @@ from .partition import (
     locate_batch,
     sample_forest,
     save_model,
-    tree_from_obj,
     tree_to_obj,
+    trees_from_obj,
 )
 
 DEFAULT_GRID_POINTS = 2**15
@@ -205,7 +205,9 @@ def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
     edges = [np.array([0.0, 1.0])]
     for tree in trees:
         edges.append(tree.partition.threshold[tree.partition.split_dim >= 0])
-    return np.unique(np.concatenate(edges))
+    # np.unique's result, without the numpy.ma import its first call costs
+    edges = np.sort(np.concatenate(edges))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def log_normalizer_for(trees: Sequence[DensityTree], index: QueryIndex,
@@ -310,8 +312,8 @@ def density_model_from_obj(obj: dict) -> DensityModel:
         raise InputError("density log normalizer must be finite")
     if not tree_objs:
         raise InputError("density model has no trees")
-    trees = tuple(DensityTree(partition, heights) for partition, _, heights in
-                  (tree_from_obj(t, dimension) for t in tree_objs))
+    trees = tuple(DensityTree(partition, heights)
+                  for partition, _, heights in trees_from_obj(tree_objs, dimension))
     if isinstance(integration, ExactOverlay) and dimension != 1:
         raise InputError(f"exact overlay normalization requires d = 1, not d = {dimension}")
     return DensityModel(trees=trees, log_normalizer=log_z, integration=integration)

@@ -24,8 +24,8 @@ from .partition import (
     load_model,
     sample_forest,
     save_model,
-    tree_from_obj,
     tree_to_obj,
+    trees_from_obj,
 )
 from .tree import FittedTree, fit_tree
 
@@ -128,7 +128,7 @@ def forest_from_obj(obj: dict) -> Forest:
         raise
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed forest object: {exc!r}") from exc
-    trees = tuple(FittedTree(*tree_from_obj(t, dimension, box)) for t in tree_objs)
+    trees = tuple(FittedTree(*tree) for tree in trees_from_obj(tree_objs, dimension, box))
     return Forest(trees=trees, spec=spec, config=config)
 
 

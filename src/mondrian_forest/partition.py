@@ -9,8 +9,11 @@ birth time. The tree records the full genealogy up to the horizon, so the
 coarser partition at any earlier time ``lam <= horizon`` can be read off by
 ignoring splits born after ``lam``.
 
-A genealogy is held as flat arrays over its nodes (see :class:`PartitionTree`);
-cells are derived from them only when asked for. :func:`sample_forest` is
+A genealogy is held as flat arrays over its nodes (see :class:`PartitionTree`).
+One kernel checks every genealogy and derives its right children and cell
+corners, a whole forest at a time: :func:`build_partitions` runs it over
+the concatenated nodes of all trees (a sampled forest, a loaded model), and
+a lone :class:`PartitionTree` is its one-tree case. :func:`sample_forest` is
 the one place that turns a forest's master seed into per-tree streams.
 
 Threshold ownership is half-open and matches :func:`mondrian_forest.core.contains`:
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -60,6 +63,15 @@ MAX_NODE_BOUND_ENTRIES = 2**27
 # 3.7x as long at 10^5 points (2.55 vs 0.69 s on regress-d2).
 LOCKSTEP_MAX_POINTS = 4096
 
+# sample_forest derives its trees in batches of at least this many nodes (or
+# the rest of the forest), one kernel run each, whose arrays take about 110
+# bytes per node. A forest of small trees is one batch (regress-d2: 50 trees,
+# 11 700 nodes), while an auto fit prunes each full genealogy once its path
+# is known, so it should not hold them all: the default `fit --auto` of 100
+# trees of about 8 000 nodes (huber:0.5, n = 4 000, d = 1) peaked at 46.5 MB
+# RSS, against 44.0 MB for one tree at a time and 158 MB for all at once.
+SAMPLE_BATCH_NODES = 2**14
+
 
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
@@ -71,7 +83,8 @@ class PartitionTree:
     and so are the corners ``cell_lo[i]`` and ``cell_hi[i]`` of its cell.
     Construction checks that the arrays form a genealogy: split dimensions
     in ``[0, d)``, every threshold inside its node's cell, and split birth
-    times in ``[0, horizon]``, never decreasing down a path.
+    times in ``[0, horizon]``, never decreasing down a path. It is the
+    one-tree case of :func:`build_partitions`.
 
     ``stream_id`` names the random stream that produced the tree, so a fit
     can be reproduced from its serialized header alone.
@@ -92,53 +105,114 @@ class PartitionTree:
     cell_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _derive_genealogies([self])
+
+
+def build_partitions(trees: Iterable[tuple]) -> list[PartitionTree]:
+    """``[PartitionTree(*args) for args in trees]``, checked and derived by one
+    kernel run over the nodes of all trees, which must share one dimension.
+
+    :data:`MAX_NODE_BOUND_ENTRIES` bounds the cell corners of all trees
+    together, and is checked before any of them is allocated.
+    """
+    names = [f.name for f in fields(PartitionTree) if f.init]
+    built = []
+    for args in trees:
+        tree = object.__new__(PartitionTree)
+        for name, value in zip(names, args, strict=True):
+            object.__setattr__(tree, name, value)
+        built.append(tree)
+    _derive_genealogies(built)
+    return built
+
+
+def _derive_genealogies(trees: list[PartitionTree]) -> None:
+    """Check the genealogies of ``trees`` and set their ``right``,
+    ``cell_lo`` and ``cell_hi``, with every tree's nodes concatenated.
+
+    Let ``pending`` count the subtrees still to visit after each node: 1
+    plus the running sum, within a tree, of +1 per split and -1 per leaf.
+    The nodes form a tree when it stays >= 1 and reaches 0 at the last
+    node. A split's left subtree starts one higher and ends where it
+    started, so its right child is the next node of the same tree with
+    the same count before it; one stable sort by (tree, count before,
+    index) puts every right child just after its parent. The cell corners
+    then come from one pass per level over the splits of every tree.
+    """
+    for tree in trees:
         for name, dtype in (("split_dim", np.int64), ("threshold", float),
                             ("birth_time", float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = np.array(getattr(tree, name), dtype=dtype)
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        dims, births = self.split_dim, self.birth_time
-        if not (self.dimension >= 1 and 0.0 <= self.horizon < math.inf):
+            object.__setattr__(tree, name, arr)
+        if not (tree.dimension >= 1 and 0.0 <= tree.horizon < math.inf):
             raise InputError("partition needs dimension >= 1 and a finite horizon >= 0")
-        if self.threshold.shape != dims.shape or births.shape != dims.shape:
+        if tree.threshold.shape != tree.split_dim.shape or \
+                tree.birth_time.shape != tree.split_dim.shape:
             raise InputError("partition node arrays have mismatched lengths")
-        if dims.shape[0] * self.dimension > MAX_NODE_BOUND_ENTRIES:
-            raise ResourceError(
-                f"{dims.shape[0]} nodes in dimension {self.dimension} exceed the budget of "
-                f"{MAX_NODE_BOUND_ENTRIES} cell-corner entries")
-        if np.any((dims < -1) | (dims >= self.dimension)):
-            raise InputError(f"split dimension outside [0, {self.dimension})")
-        object.__setattr__(self, "right", _right_children(dims))
-        splits = dims >= 0
-        if not np.all(np.where(splits, (births >= 0.0) & (births <= self.horizon),
-                               births == math.inf)):
-            raise InputError("split birth times must lie in [0, horizon]")
-        parents = np.flatnonzero(splits)
-        if np.any(births[parents + 1] < births[parents]) or \
-                np.any(births[self.right[parents]] < births[parents]):
-            raise InputError("split birth times decrease down a path")
-        for name, bounds in zip(("cell_lo", "cell_hi"), _node_bounds(self)):
-            bounds.flags.writeable = False
-            object.__setattr__(self, name, bounds)
-
-
-def _right_children(split_dim: np.ndarray) -> np.ndarray:
-    """Right-child index of every split of a pre-order node sequence, -1 at leaves."""
-    # with s splits and s + 1 leaves, the sequence is a tree unless it ends early
-    n = split_dim.size
-    if split_dim.ndim != 1 or n != 2 * int(np.count_nonzero(split_dim >= 0)) + 1:
-        raise InputError("partition nodes do not form a binary tree")
-    right = np.full(n, -1, dtype=np.int64)
-    awaiting_right: list[int] = []
-    for i, dim in enumerate(split_dim.tolist()):
-        if dim >= 0:
-            awaiting_right.append(i)
-        elif awaiting_right:
-            right[awaiting_right.pop()] = i + 1
-        elif i != n - 1:
+        if tree.split_dim.ndim != 1 or tree.split_dim.size == 0:
             raise InputError("partition nodes do not form a binary tree")
-    right.flags.writeable = False
-    return right
+    if not trees:
+        return
+    dimension = trees[0].dimension
+    if any(tree.dimension != dimension for tree in trees):
+        raise InputError("the trees of a model differ in dimension")
+    sizes = np.array([tree.split_dim.size for tree in trees], dtype=np.int64)
+    nodes = int(sizes.sum())
+    if nodes * dimension > MAX_NODE_BOUND_ENTRIES:
+        raise ResourceError(
+            f"{nodes} nodes in dimension {dimension} exceed the budget of "
+            f"{MAX_NODE_BOUND_ENTRIES} cell-corner entries")
+    dims = np.concatenate([tree.split_dim for tree in trees])
+    if np.any((dims < -1) | (dims >= dimension)):
+        raise InputError(f"split dimension outside [0, {dimension})")
+    splits = dims >= 0
+    step = np.where(splits, 1, -1)
+    total = np.cumsum(step)
+    starts = np.cumsum(sizes) - sizes
+    start = np.repeat(starts, sizes)
+    pending = total - np.repeat(total[starts] - step[starts], sizes) + 1
+    if np.any(pending[starts + sizes - 1] != 0) or \
+            np.count_nonzero(pending <= 0) != len(trees):
+        raise InputError("partition nodes do not form a binary tree")
+    # the count before each node, offset per tree; a tree's counts lie in
+    # [1, its size], so the keys of different trees never meet
+    order = np.argsort(pending - step + start, kind="stable")
+    right = np.full(nodes, -1, dtype=np.int64)
+    right[order[:-1]] = order[1:]
+    right[~splits] = -1
+    births = np.concatenate([tree.birth_time for tree in trees])
+    horizons = np.repeat([tree.horizon for tree in trees], sizes)
+    if not np.all(np.where(splits, (births >= 0.0) & (births <= horizons),
+                           births == math.inf)):
+        raise InputError("split birth times must lie in [0, horizon]")
+    parents = np.flatnonzero(splits)
+    if np.any(births[parents + 1] < births[parents]) or \
+            np.any(births[right[parents]] < births[parents]):
+        raise InputError("split birth times decrease down a path")
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    lo = np.zeros((nodes, dimension))
+    hi = np.ones_like(lo)
+    # one level of every tree per step: both children get the parent's
+    # corners, cut at the threshold along the split dimension
+    level = starts[splits[starts]]
+    while level.size:
+        j, t = dims[level], threshold[level]
+        if not np.all((lo[level, j] <= t) & (t <= hi[level, j])):
+            raise InputError("split threshold outside its node's cell")
+        left, rights = level + 1, right[level]
+        lo[left] = lo[rights] = lo[level]
+        hi[left] = hi[rights] = hi[level]
+        hi[left, j] = lo[rights, j] = t
+        level = np.concatenate((left, rights))
+        level = level[splits[level]]
+    right[parents] -= start[parents]
+    for arr in (right, lo, hi):
+        arr.flags.writeable = False
+    for tree, a, b in zip(trees, starts.tolist(), (starts + sizes).tolist()):
+        object.__setattr__(tree, "right", right[a:b])
+        object.__setattr__(tree, "cell_lo", lo[a:b])
+        object.__setattr__(tree, "cell_hi", hi[a:b])
 
 
 def sample_split(lo, hi, rng: np.random.Generator) -> tuple[int, float]:
@@ -167,22 +241,10 @@ def sample_split(lo, hi, rng: np.random.Generator) -> tuple[int, float]:
     return dim, float(threshold)
 
 
-def sample_partition(dimension: int, horizon: float,
-                     rng: np.random.Generator | int,
-                     leaf_cap: int = DEFAULT_LEAF_CAP,
-                     stream_id: str | None = None) -> PartitionTree:
-    """Sample a partition tree of [0,1]^``dimension`` up to time ``horizon``.
-
-    ``rng`` may be a seeded generator or a plain integer seed. The number of
-    leaves is capped at ``leaf_cap``; exceeding it aborts with
-    :class:`ResourceError` rather than consuming unbounded memory.
-    """
-    if not np.isfinite(horizon) or horizon < 0.0:
-        raise InputError("horizon must be finite and >= 0")
-    if isinstance(rng, (int, np.integer)):
-        if stream_id is None:
-            stream_id = str(int(rng))
-        rng = np.random.default_rng(int(rng))
+def _draw_nodes(dimension: int, horizon: float, rng: np.random.Generator,
+                leaf_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split dimensions, thresholds and birth times of one genealogy
+    of [0,1]^``dimension`` up to ``horizon``, drawn in pre-order."""
     nodes: list[tuple[int, float, float]] = []  # (split_dim, threshold, birth_time)
     leaves = 0
     # draws in pre-order: a node's wait, its split, its left subtree, its right
@@ -203,31 +265,61 @@ def sample_partition(dimension: int, horizon: float,
         stack.append((lo[:dim] + (threshold,) + lo[dim + 1:], hi, birth))
         stack.append((lo, hi[:dim] + (threshold,) + hi[dim + 1:], birth))
     dims, thresholds, births = zip(*nodes)
-    return PartitionTree(dimension=dimension, horizon=float(horizon), split_dim=dims,
-                         threshold=thresholds, birth_time=births,
-                         stream_id="anonymous" if stream_id is None else stream_id)
+    return (np.array(dims, dtype=np.int64), np.array(thresholds, dtype=float),
+            np.array(births, dtype=float))
+
+
+def _check_horizon(horizon: float) -> float:
+    if not np.isfinite(horizon) or horizon < 0.0:
+        raise InputError("horizon must be finite and >= 0")
+    return float(horizon)
+
+
+def sample_partition(dimension: int, horizon: float,
+                     rng: np.random.Generator | int,
+                     leaf_cap: int = DEFAULT_LEAF_CAP,
+                     stream_id: str | None = None) -> PartitionTree:
+    """Sample a partition tree of [0,1]^``dimension`` up to time ``horizon``.
+
+    ``rng`` may be a seeded generator or a plain integer seed. The number of
+    leaves is capped at ``leaf_cap``; exceeding it aborts with
+    :class:`ResourceError` rather than consuming unbounded memory.
+    """
+    horizon = _check_horizon(horizon)
+    if isinstance(rng, (int, np.integer)):
+        if stream_id is None:
+            stream_id = str(int(rng))
+        rng = np.random.default_rng(int(rng))
+    return PartitionTree(dimension, horizon, *_draw_nodes(dimension, horizon, rng, leaf_cap),
+                         "anonymous" if stream_id is None else stream_id)
 
 
 def sample_forest(dimension: int, horizon: float, seed: int, tree_count: int,
                   leaf_cap: int = DEFAULT_LEAF_CAP) -> Iterator[PartitionTree]:
-    """The genealogies of a forest's ``tree_count`` trees, one at a time.
+    """The genealogies of a forest's ``tree_count`` trees, in tree order.
 
     Tree ``b`` draws from the ``b``-th of ``tree_count`` children of
     ``SeedSequence(seed)`` and is named ``"{seed}/{b}"``. A child does not
     depend on how many siblings it has, so tree ``b`` is the same in every
     forest of more than ``b`` trees. A tree over ``leaf_cap`` raises
-    :class:`ResourceError` naming the tree.
+    :class:`ResourceError` naming the tree. The trees are drawn in batches
+    of at least :data:`SAMPLE_BATCH_NODES` nodes, and one
+    :func:`build_partitions` call checks and derives each batch.
     """
     if not 0 <= int(seed) < 2**64:
         raise InputError("seed must be a 64-bit unsigned integer")
-    children = np.random.SeedSequence(int(seed)).spawn(tree_count)
-    for b, child in enumerate(children):
+    horizon = _check_horizon(horizon)
+    drawn, nodes = [], 0
+    for b, child in enumerate(np.random.SeedSequence(int(seed)).spawn(tree_count)):
         try:
-            partition = sample_partition(dimension, horizon, np.random.default_rng(child),
-                                         leaf_cap=leaf_cap, stream_id=f"{seed}/{b}")
+            arrays = _draw_nodes(dimension, horizon, np.random.default_rng(child), leaf_cap)
         except ResourceError as exc:
             raise ResourceError(f"tree {b}: {exc}") from exc
-        yield partition
+        drawn.append((dimension, horizon, *arrays, f"{seed}/{b}"))
+        nodes += arrays[0].size
+        if nodes >= SAMPLE_BATCH_NODES or b == tree_count - 1:
+            yield from build_partitions(drawn)
+            drawn, nodes = [], 0
 
 
 def _check_lambda(tree: PartitionTree, lam: float) -> float:
@@ -275,22 +367,6 @@ def prune(tree: PartitionTree, lam: float) -> tuple[PartitionTree, np.ndarray]:
 def leaf_count_at(tree: PartitionTree, lam: float) -> int:
     """Every split born by ``lam`` adds one leaf to the root cell."""
     return 1 + int(np.count_nonzero(tree.birth_time <= _check_lambda(tree, lam)))
-
-
-def _node_bounds(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of every node's cell, as (nodes, d) arrays,
-    checking each threshold against its node's cell."""
-    lo = np.zeros((tree.split_dim.shape[0], tree.dimension))
-    hi = np.ones_like(lo)
-    for i, (j, t, r) in enumerate(zip(tree.split_dim.tolist(), tree.threshold.tolist(),
-                                      tree.right.tolist())):
-        if j < 0:
-            continue
-        if not lo[i, j] <= t <= hi[i, j]:
-            raise InputError("split threshold outside its node's cell")
-        lo[i + 1], hi[i + 1], lo[r], hi[r] = lo[i], hi[i], lo[i], hi[i]
-        hi[i + 1, j] = lo[r, j] = t
-    return lo, hi
 
 
 def leaf_bounds(tree: PartitionTree, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -545,8 +621,8 @@ def partition_to_obj(tree: PartitionTree) -> dict:
     }
 
 
-def partition_from_obj(obj: dict) -> PartitionTree:
-    """Read :func:`partition_to_obj` output; the constructor checks the genealogy."""
+def _partition_args(obj: dict) -> tuple:
+    """The :class:`PartitionTree` arguments of :func:`partition_to_obj` output."""
     try:
         dims = np.asarray(obj["split_dim"])
         if dims.ndim != 1 or dims.dtype.kind not in "iu":
@@ -559,14 +635,17 @@ def partition_from_obj(obj: dict) -> PartitionTree:
             if values.shape != (int(splits.sum()),):
                 raise ValueError(f"{key} needs one entry per split")
             full[splits] = values
-        return PartitionTree(dimension=json_int(obj["dimension"], "dimension"),
-                             horizon=float(obj["horizon"]),
-                             split_dim=dims, threshold=threshold, birth_time=birth_time,
-                             stream_id=_json_str(obj["stream_id"], "stream_id"))
+        return (json_int(obj["dimension"], "dimension"), float(obj["horizon"]),
+                dims, threshold, birth_time, _json_str(obj["stream_id"], "stream_id"))
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition object: {exc!r}") from exc
+
+
+def partition_from_obj(obj: dict) -> PartitionTree:
+    """Read :func:`partition_to_obj` output; the constructor checks the genealogy."""
+    return PartitionTree(*_partition_args(obj))
 
 
 def json_int(value, what: str) -> int:
@@ -592,23 +671,29 @@ def tree_to_obj(partition: PartitionTree, lam: float, values) -> dict:
     }
 
 
-def tree_from_obj(obj: dict, dimension: int,
-                  box: ValueBox | None = None) -> tuple[PartitionTree, float, np.ndarray]:
-    """Read :func:`tree_to_obj` output as (partition, its horizon, values),
-    checking that the values are finite and inside ``box`` if given;
+def trees_from_obj(objs: Iterable[dict], dimension: int,
+                   box: ValueBox | None = None) -> list[tuple[PartitionTree, float, np.ndarray]]:
+    """Read :func:`tree_to_obj` outputs as (partition, its horizon, values),
+    checking that the values are finite and inside ``box`` if given, then
+    every genealogy with one :func:`build_partitions` call;
     :func:`compile_index` checks that there is one value per leaf."""
-    try:
-        partition_obj = obj["partition"]
-        values = np.asarray(obj["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed tree object: {exc!r}") from exc
-    partition = partition_from_obj(partition_obj)
-    if partition.dimension != dimension:
-        raise InputError(f"tree dimension {partition.dimension} is not the model's {dimension}")
-    if not np.all(np.isfinite(values)) or (box is not None and not box.holds(values)):
-        raise InputError("tree values must be finite and inside the value box")
-    values.flags.writeable = False
-    return partition, partition.horizon, values
+    args, values = [], []
+    for obj in objs:
+        try:
+            partition_obj = obj["partition"]
+            tree_values = np.asarray(obj["values"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed tree object: {exc!r}") from exc
+        args.append(_partition_args(partition_obj))
+        if args[-1][0] != dimension:
+            raise InputError(f"tree dimension {args[-1][0]} is not the model's {dimension}")
+        if not np.all(np.isfinite(tree_values)) or \
+                (box is not None and not box.holds(tree_values)):
+            raise InputError("tree values must be finite and inside the value box")
+        tree_values.flags.writeable = False
+        values.append(tree_values)
+    return [(partition, partition.horizon, v)
+            for partition, v in zip(build_partitions(args), values)]
 
 
 def save_model(obj: dict, path) -> None:

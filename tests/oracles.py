@@ -70,6 +70,43 @@ def leaf_cells_walk(tree: PartitionTree, lam: float) -> list[Cell]:
     return cells
 
 
+def brute_force_right_children(split_dim: np.ndarray) -> np.ndarray:
+    """Right-child index of every split of a pre-order node sequence, -1 at
+    leaves, from a stack of the splits still awaiting their right child."""
+    # with s splits and s + 1 leaves, the sequence is a tree unless it ends early
+    n = split_dim.size
+    if split_dim.ndim != 1 or n != 2 * int(np.count_nonzero(split_dim >= 0)) + 1:
+        raise InputError("partition nodes do not form a binary tree")
+    right = np.full(n, -1, dtype=np.int64)
+    awaiting_right: list[int] = []
+    for i, dim in enumerate(split_dim.tolist()):
+        if dim >= 0:
+            awaiting_right.append(i)
+        elif awaiting_right:
+            right[awaiting_right.pop()] = i + 1
+        elif i != n - 1:
+            raise InputError("partition nodes do not form a binary tree")
+    return right
+
+
+def brute_force_node_bounds(tree: PartitionTree) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of every node's cell, as (nodes, d) arrays,
+    cut node by node in pre-order and checking each threshold against its
+    node's cell; right children come from :func:`brute_force_right_children`."""
+    lo = np.zeros((tree.split_dim.shape[0], tree.dimension))
+    hi = np.ones_like(lo)
+    right = brute_force_right_children(tree.split_dim)
+    for i, (j, t, r) in enumerate(zip(tree.split_dim.tolist(), tree.threshold.tolist(),
+                                      right.tolist())):
+        if j < 0:
+            continue
+        if not lo[i, j] <= t <= hi[i, j]:
+            raise InputError("split threshold outside its node's cell")
+        lo[i + 1], hi[i + 1], lo[r], hi[r] = lo[i], hi[i], lo[i], hi[i]
+        hi[i + 1, j] = lo[r, j] = t
+    return lo, hi
+
+
 def group_by_ids(ids, group_count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(counts, order)`` that group responses with group ids ``ids``:
     ``ys[order]`` lists group 0's responses, then group 1's, each group's in

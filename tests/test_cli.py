@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from mondrian_forest import (
 from mondrian_forest import cli
 from mondrian_forest.cli import main, parse_box, parse_loss
 from mondrian_forest.density import load_density_model
+from mondrian_forest.partition import MAX_NODE_BOUND_ENTRIES
 
 
 def read_csv_rows(path):
@@ -408,6 +410,21 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_density_fit_leaves_numpy_ma_unloaded(tmp_path):
+    # a first np.unique call imports numpy.ma, which costs a fit tens of milliseconds
+    data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.txt"
+    assert main(["gen", "--task", "density", "--n", "300", "--out", str(data_csv)]) == 0
+    code = ("import sys; from mondrian_forest.cli import main; "
+            f"code = main(['density', '--input', {str(data_csv)!r}, '--lambda', '30', "
+            f"'--trees', '3', '--out', {str(model_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=os.environ.copy())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert model_path.is_file()
+
+
 def _first_tree(model):
     return model["trees"][0], model["trees"][0]["partition"]
 
@@ -426,6 +443,26 @@ def _edit(fn):
         fn(*_first_tree(model))
         return model
     return mutate
+
+
+def _in_tree(position, fn):
+    """Make the model three trees, with a copy of tree 0 at ``position``
+    (1 or -1), and ``fn`` that copy's model: a fault that a load checking
+    the trees concatenated must still find in that tree alone."""
+    def mutate(model):
+        tree = copy.deepcopy(model["trees"][0])
+        model["trees"].insert(1 if position == 1 else len(model["trees"]), tree)
+        assert len(model["trees"]) == 3
+        fn({**model, "trees": [tree]})
+        return model
+    return mutate
+
+
+def _birth_before_parent(model):
+    # the second split in pre-order is a child of the root
+    _, part = _first_tree(model)
+    part["birth_time"][1] = part["birth_time"][0] / 2.0
+    return model
 
 
 def _as_v2(model, kind):
@@ -450,6 +487,11 @@ MALFORMED_MODELS = [
      _edit(lambda t, p: p["birth_time"].__setitem__(-1, p["horizon"] + 1.0))),
     ("forest", "tree dimension differs from the header", _edit(lambda t, p: p.update(dimension=2))),
     ("forest", "nodes do not form a tree", _edit(lambda t, p: p["split_dim"].append(-1))),
+    ("forest", "tree 1 of 3 ends early",
+     _in_tree(1, _edit(lambda t, p: p["split_dim"].pop()))),
+    ("forest", "last tree's threshold outside its cell",
+     _in_tree(-1, _second_threshold_outside_its_cell)),
+    ("forest", "middle tree's birth times decrease", _in_tree(1, _birth_before_parent)),
     ("forest", "box not numbers", lambda m: {**m, "box": ["a", 1.0]}),
     ("forest", "seed not finite", lambda m: {**m, "seed": math.inf}),
     ("forest", "leaf cap not an integer", lambda m: {**m, "leaf_cap": 7.9}),
@@ -464,6 +506,11 @@ MALFORMED_MODELS = [
     ("density", "height not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.inf))),
     ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
+    ("density", "tree 1 of 3 ends early",
+     _in_tree(1, _edit(lambda t, p: p["split_dim"].pop()))),
+    ("density", "last tree's threshold outside its cell",
+     _in_tree(-1, _second_threshold_outside_its_cell)),
+    ("density", "middle tree's birth times decrease", _in_tree(1, _birth_before_parent)),
     ("density", "integration grid of -5 points",
      lambda m: {**m, "integration": {"method": "grid", "point_count": -5, "seed": 0}}),
     ("density", "integration grid of infinitely many points",
@@ -541,9 +588,22 @@ def _huge_dimension(model):
     return model
 
 
+def _over_budget_only_together(model):
+    # each of the two trees' cell corners fits the budget, both together do not
+    sizes = [len(tree["partition"]["split_dim"]) for tree in model["trees"]]
+    dimension = MAX_NODE_BOUND_ENTRIES // max(sizes)
+    assert len(sizes) == 2 and sum(sizes) * dimension > MAX_NODE_BOUND_ENTRIES
+    model["dimension"] = dimension
+    for tree in model["trees"]:
+        tree["partition"]["dimension"] = dimension
+    return model
+
+
 OVERSIZED_MODELS = [
     ("forest", "dimension of 10**13", _huge_dimension),
     ("density", "dimension of 10**13", _huge_dimension),
+    ("forest", "two trees over the budget together", _over_budget_only_together),
+    ("density", "two trees over the budget together", _over_budget_only_together),
 ]
 
 
@@ -559,10 +619,14 @@ def test_oversized_model_files_are_resource_errors(tmp_path, kind, case, mutate)
                               capture_output=True, text=True, env=os.environ.copy())
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("resource error:") and "Traceback" not in proc.stderr
+        err = proc.stderr
     else:
         # no command loads a density model, so the loader is called directly
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as raised:
             load_density_model(str(bad_path))
+        err = str(raised.value)
+    # refused by the budget, before the corners are allocated
+    assert f"exceed the budget of {MAX_NODE_BOUND_ENTRIES} cell-corner entries" in err
 
 
 def test_fifty_dimensional_model_loads_and_predicts(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the shared domain types and the dataset CSV format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mondrian_forest import (
     save_dataset_csv,
     volume,
 )
-from mondrian_forest.core import as_point, as_points, clamp
+from mondrian_forest.core import as_point, as_points, clamp, read_csv_columns
 
 from oracles import linear_size, unit_cell
 
@@ -210,3 +211,22 @@ def test_csv_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(InputError):
         load_dataset_csv(path)
+
+
+def test_csv_fields_parse_as_python_floats_and_the_first_bad_row_is_named(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2,y\n0.25,1e-3,-2\n  \n0.5, 0.75 ,1_0\n0.1,nan,-inf\n")
+    points, responses = read_csv_columns(path)
+    assert points.dtype == float and points.shape == (3, 2)
+    assert points.tolist()[:2] == [[0.25, 0.001], [0.5, 0.75]] and math.isnan(points[2, 1])
+    assert responses.tolist() == [-2.0, 10.0, -math.inf]
+    path.write_text("x1,y\n")
+    points, responses = read_csv_columns(path)
+    assert points.shape == (0, 1) and responses.shape == (0,)
+    for body, message in (("0.1,0.2\n0.3\n", "row has 1 fields, expected 2"),
+                          ("0.1,0.2\n0.3,0.4,0.5\n", "row has 3 fields, expected 2"),
+                          ("0.1,0.2\n0.3,x\n0.4\n", "non-numeric field in row '0.3,x'"),
+                          ("0.1\n0.3,x\n", "row has 1 fields, expected 2")):
+        path.write_text("x1,y\n" + body)
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_csv_columns(path)

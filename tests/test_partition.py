@@ -22,8 +22,9 @@ from mondrian_forest import (
     split_times,
     volume,
 )
+import mondrian_forest.partition as partition_module
 from mondrian_forest.partition import (
-    _node_bounds,
+    build_partitions,
     group_points,
     leaf_nodes,
     load_model,
@@ -34,11 +35,18 @@ from mondrian_forest.partition import (
     sample_forest,
     sample_split,
     save_model,
-    tree_from_obj,
     tree_to_obj,
+    trees_from_obj,
 )
 
-from oracles import cell_of, leaf_cells_walk, locate_scan, unit_cell
+from oracles import (
+    brute_force_node_bounds,
+    brute_force_right_children,
+    cell_of,
+    leaf_cells_walk,
+    locate_scan,
+    unit_cell,
+)
 
 
 def two_leaf_tree(threshold: float = 0.5, birth: float = 1.2) -> PartitionTree:
@@ -95,6 +103,17 @@ def test_sample_forest_streams():
             next(sample_forest(1, 1.0, seed, 2))
     with pytest.raises(ResourceError, match=r"^tree 0: partition exceeded leaf cap 4$"):
         next(sample_forest(1, 50.0, 99, 2, leaf_cap=4))
+
+
+def test_sample_forest_batches_leave_the_trees_unchanged(monkeypatch):
+    whole = list(sample_forest(2, 3.0, 17, 6))
+    for batch_nodes in (1, 40):
+        monkeypatch.setattr(partition_module, "SAMPLE_BATCH_NODES", batch_nodes)
+        batched = list(sample_forest(2, 3.0, 17, 6))
+        assert [t.stream_id for t in batched] == [t.stream_id for t in whole]
+        for a, b in zip(whole, batched):
+            for name in ("split_dim", "threshold", "birth_time", "right", "cell_lo", "cell_hi"):
+                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
 
 
 def test_split_dimension_proportional_to_side_length():
@@ -154,7 +173,9 @@ def test_birth_times_increase_down_every_path():
 
 def test_children_tile_parent():
     tree = sample_partition(2, 3.0, 99)
-    lo, hi = _node_bounds(tree)
+    lo, hi = tree.cell_lo, tree.cell_hi
+    oracle_lo, oracle_hi = brute_force_node_bounds(tree)
+    assert np.array_equal(lo, oracle_lo) and np.array_equal(hi, oracle_hi)
     assert list(lo[0]) == [0.0, 0.0] and list(hi[0]) == [1.0, 1.0]
     for node in walk_splits(tree):
         j, t = tree.split_dim[node], tree.threshold[node]
@@ -376,7 +397,7 @@ def test_property_codec_text_round_trips_bit_for_bit(case, data):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first", Path(tmp) / "second"
         save_model({"format": "test", "tree": tree_to_obj(tree, lam, values)}, first)
-        back = tree_from_obj(load_model(first, "test")["tree"], tree.dimension)
+        [back] = trees_from_obj([load_model(first, "test")["tree"]], tree.dimension)
         save_model({"format": "test", "tree": tree_to_obj(*back)}, second)
         assert first.read_bytes() == second.read_bytes()
     assert back[1] == lam and back[2].tolist() == values
@@ -404,3 +425,88 @@ def test_node_groups_of_no_points_are_empty():
     order, counts = node_groups(tree, np.empty((0, 2)))
     assert order.dtype == np.int64 and order.shape == (0,)
     assert counts.tolist() == [0] * tree.split_dim.shape[0]
+
+
+# The genealogy kernel derives every tree of a forest in one run over the
+# concatenated node arrays; the per-node loops of tests/oracles.py are the
+# reference, tree by tree.
+
+
+def left_spine(splits: int, dimension: int = 1) -> tuple:
+    """Constructor arguments of a genealogy whose every left child splits
+    again, ``splits`` times, cycling through the dimensions."""
+    dims = [k % dimension for k in range(splits)] + [-1] * (splits + 1)
+    # every cut keeps the lower part of its side: thresholds fall along each dimension
+    thresholds = [1.0 - (k // dimension + 1) / (splits + 2) for k in range(splits)]
+    births = np.linspace(0.0, 1.0, splits).tolist()
+    return (dimension, 1.0, dims, thresholds + [math.nan] * (splits + 1),
+            births + [math.inf] * (splits + 1), f"spine/{splits}")
+
+
+def assert_matches_oracles(tree: PartitionTree) -> None:
+    right = brute_force_right_children(tree.split_dim)
+    lo, hi = brute_force_node_bounds(tree)
+    assert tree.right.dtype == np.int64 and np.array_equal(tree.right, right)
+    # bit for bit: the corners are copies of 0, 1 and the thresholds
+    assert tree.cell_lo.tobytes() == lo.tobytes() and tree.cell_hi.tobytes() == hi.tobytes()
+
+
+@given(st.integers(1, 3), st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 2.0, 6.0]),
+                                             st.integers(0, 2**32 - 1)),
+                                   min_size=1, max_size=6))
+def test_property_forest_kernel_matches_the_oracles_tree_by_tree(dimension, draws):
+    trees = [sample_partition(dimension, horizon / dimension, seed) for horizon, seed in draws]
+    built = build_partitions((t.dimension, t.horizon, t.split_dim, t.threshold,
+                              t.birth_time, t.stream_id) for t in trees)
+    for tree, alone in zip(built, trees):
+        assert_matches_oracles(tree)
+        assert_matches_oracles(alone)
+        assert np.array_equal(tree.right, alone.right)
+        assert np.array_equal(tree.cell_lo, alone.cell_lo)
+        assert np.array_equal(tree.cell_hi, alone.cell_hi)
+        assert not tree.right.flags.writeable and not tree.cell_lo.flags.writeable
+
+
+def test_left_spine_of_two_thousand_splits_matches_the_oracles():
+    single_leaf = (2, 0.0, [-1], [math.nan], [math.inf], "leaf")
+    built = build_partitions([single_leaf, left_spine(2000, 2), left_spine(5, 2), single_leaf])
+    assert [t.split_dim.size for t in built] == [1, 4001, 11, 1]
+    for tree in built:
+        assert_matches_oracles(tree)
+    spine = built[1]
+    # split k's right child is a leaf, reached after the k + 1 deeper splits' left leaves
+    assert spine.right[:3].tolist() == [4000, 3999, 3998] and spine.right[1999] == 2001
+    # the spine's cells share their lower corner with the cube
+    assert np.array_equal(spine.cell_lo[:2001], np.zeros((2001, 2)))
+    [alone] = build_partitions([left_spine(2000, 1)])
+    assert alone.split_dim.size == 4001
+    assert_matches_oracles(alone)
+
+
+def test_forest_kernel_keeps_every_check_within_its_own_tree():
+    good = (1, 2.0, [0, -1, -1], [0.5, math.nan, math.nan], [1.0, math.inf, math.inf], "ok")
+    cases = [
+        ((1, 2.0, [0, -1], [0.5, math.nan], [1.0, math.inf], "short"),
+         "do not form a binary tree"),
+        ((1, 2.0, [-1, 0, -1], [math.nan, 0.5, math.nan], [math.inf, 1.0, math.inf], "early"),
+         "do not form a binary tree"),
+        ((1, 2.0, [0, 0, -1, -1, -1], [0.5, 0.7, math.nan, math.nan, math.nan],
+          [1.0, 1.5, math.inf, math.inf, math.inf], "cell"), "outside its node's cell"),
+        ((1, 2.0, [0, 0, -1, -1, -1], [0.5, 0.3, math.nan, math.nan, math.nan],
+          [1.0, 0.5, math.inf, math.inf, math.inf], "decrease"), "decrease down a path"),
+        ((1, 2.0, [0, -1, -1], [0.5, math.nan, math.nan], [2.5, math.inf, math.inf], "late"),
+         r"lie in \[0, horizon\]"),
+        ((1, 2.0, [1, -1, -1], [0.5, math.nan, math.nan], [1.0, math.inf, math.inf], "dim"),
+         r"split dimension outside \[0, 1\)"),
+        ((1, 2.0, [], [], [], "empty"), "do not form a binary tree"),
+    ]
+    for bad, message in cases:
+        for forest in ([bad], [good, bad], [bad, good], [good, bad, good]):
+            with pytest.raises(InputError, match=message):
+                build_partitions(forest)
+    # a tree that ends early is not mended by the tree after it
+    with pytest.raises(InputError, match="do not form a binary tree"):
+        build_partitions([(1, 2.0, [0, -1], [0.5, math.nan], [1.0, math.inf], "a"),
+                          (1, 2.0, [-1], [math.nan], [math.inf], "b")])
+    with pytest.raises(InputError, match="differ in dimension"):
+        build_partitions([good, (2, *good[1:])])
