@@ -45,7 +45,7 @@ def as_point(x: Sequence[float] | np.ndarray, dimension: int | None = None) -> n
         raise InputError(f"point has dimension {arr.shape[0]}, expected {dimension}")
     if not np.all(np.isfinite(arr)):
         raise InputError("point has non-finite coordinates")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise InputError("point lies outside [0,1]^d")
     return arr
 

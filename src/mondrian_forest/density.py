@@ -44,6 +44,7 @@ from .partition import (
     save_model,
     tree_to_obj,
     trees_from_obj,
+    unique_inverse,
 )
 
 DEFAULT_GRID_POINTS = 2**15
@@ -205,9 +206,7 @@ def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
     edges = [np.array([0.0, 1.0])]
     for tree in trees:
         edges.append(tree.partition.threshold[tree.partition.split_dim >= 0])
-    # np.unique's result, without the numpy.ma import its first call costs
-    edges = np.sort(np.concatenate(edges))
-    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    return unique_inverse(np.concatenate(edges))[0]
 
 
 def log_normalizer_for(trees: Sequence[DensityTree], index: QueryIndex,
@@ -263,15 +262,17 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
                         integration=integration, index=index)
 
 
+def _density_at(model: DensityModel, points: np.ndarray) -> np.ndarray:
+    return np.exp(model.index.mean(points) - model.log_normalizer)
+
+
 def density_eval_batch(model: DensityModel, xs) -> np.ndarray:
-    points = as_points(xs, dimension=model.dimension)
-    h_bar = model.index.mean(points)
-    return np.exp(h_bar - model.log_normalizer)
+    return _density_at(model, as_points(xs, dimension=model.dimension))
 
 
 def density_eval(model: DensityModel, x) -> float:
     point = as_point(x, dimension=model.dimension)
-    return float(density_eval_batch(model, point.reshape(1, -1))[0])
+    return float(_density_at(model, point.reshape(1, -1))[0])
 
 
 def density_model_to_obj(model: DensityModel) -> dict:

@@ -70,20 +70,26 @@ def predict_batch(forest: Forest, xs) -> np.ndarray:
 
 def predict(forest: Forest, x) -> float:
     point = as_point(x, dimension=forest.dimension)
-    return float(predict_batch(forest, point.reshape(1, -1))[0])
+    return float(forest.index.mean(point.reshape(1, -1))[0])
+
+
+def _require_surrogate(forest: Forest) -> None:
+    if not is_surrogate(forest.spec):
+        raise InputError("classification requires a surrogate loss family")
 
 
 def classify_batch(forest: Forest, xs) -> np.ndarray:
     """Labels in {-1,+1}; the decision boundary (prediction 0) maps to -1."""
-    if not is_surrogate(forest.spec):
-        raise InputError("classification requires a surrogate loss family")
+    _require_surrogate(forest)
     preds = predict_batch(forest, xs)
     return np.where(preds > 0.0, 1, -1).astype(np.int64)
 
 
 def classify(forest: Forest, x) -> int:
-    point = as_point(x, dimension=forest.dimension)
-    return int(classify_batch(forest, point.reshape(1, -1))[0])
+    """The label of :func:`classify_batch` for one point."""
+    pred = predict(forest, x)
+    _require_surrogate(forest)
+    return 1 if pred > 0.0 else -1
 
 
 def forest_to_obj(forest: Forest) -> dict:

@@ -392,6 +392,19 @@ def _edges_born_by(tree: PartitionTree, lam: float) -> np.ndarray:
     return np.sort(tree.threshold[tree.birth_time <= lam])
 
 
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-d float array
+    without NaN, without the ``numpy.ma`` import that a first ``np.unique``
+    call costs: the sorted distinct values, and where each value is among them."""
+    order = np.argsort(values)
+    ranked = values[order]
+    first = np.ones(ranked.shape, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def _search_edges(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Leaf id of each coordinate ``x`` of a 1-d partition with inner edges
     ``edges``. Pre-order leaf ids run left to right in d = 1, and
@@ -500,20 +513,24 @@ def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
 class QueryIndex:
     """Every tree of a model, at its lambda, in flat arrays; built by :func:`compile_index`.
 
-    In d = 1, ``edges[b]`` holds tree ``b``'s sorted inner leaf edges and
-    ``leaf_values[b]`` its leaf values, left to right. In d >= 2, the trees
-    pruned at their lambdas are concatenated in tree order, each in
-    pre-order, and ``roots[b]`` is tree ``b``'s first node. ``value``
-    inlines each leaf's fitted value (NaN at splits). ``child`` is the
-    flattened ``(nodes, 2)`` table of global child indices, (left, right)
-    at a split and (itself, itself) at a leaf, and ``depth`` is the longest
-    root-to-leaf path in splits. The fields of the other case are unset.
+    In d = 1, the trees are overlaid into one step function: ``edges`` holds
+    the sorted, distinct inner leaf edges of all trees, and ``cell_mean[j]``
+    the mean over trees on cell ``j``, the points ``x`` with
+    ``searchsorted(edges, x, side="right") == j``. Every tree's edges are
+    among ``edges``, so each cell lies inside one leaf of every tree. In
+    d >= 2, the trees pruned at their lambdas are concatenated in tree
+    order, each in pre-order, and ``roots[b]`` is tree ``b``'s first node.
+    ``value`` inlines each leaf's fitted value (NaN at splits). ``child`` is
+    the flattened ``(nodes, 2)`` table of global child indices, (left,
+    right) at a split and (itself, itself) at a leaf, and ``depth`` is the
+    longest root-to-leaf path in splits. The fields of the other case are
+    unset.
     """
 
     dimension: int
     tree_count: int
-    edges: tuple[np.ndarray, ...] = ()
-    leaf_values: tuple[np.ndarray, ...] = ()
+    edges: np.ndarray | None = None
+    cell_mean: np.ndarray | None = None
     roots: np.ndarray | None = None
     split_dim: np.ndarray | None = None
     threshold: np.ndarray | None = None
@@ -525,16 +542,15 @@ class QueryIndex:
         """The mean over trees of the value of the leaf holding each point.
 
         ``points`` is an already checked (n, d) array. Tree values are added
-        in tree order to a zero total and divided by the tree count once,
-        so a point's mean does not depend on the batch it comes in or on
-        the kernel that answers it.
+        in tree order to a zero total and divided by the tree count once, in
+        d = 1 per overlay cell when the index is compiled, so a point's mean
+        does not depend on the batch it comes in or on the kernel that
+        answers it.
         """
-        total = np.zeros(points.shape[0])
         if self.dimension == 1:
-            x = points[:, 0]
-            for edges, values in zip(self.edges, self.leaf_values):
-                total += values[_search_edges(edges, x)]
-        elif points.shape[0] <= LOCKSTEP_MAX_POINTS:
+            return self.cell_mean[_search_edges(self.edges, points[:, 0])]
+        total = np.zeros(points.shape[0])
+        if points.shape[0] <= LOCKSTEP_MAX_POINTS:
             values = self.value[self._lockstep_leaves(points)]
             for b in range(self.tree_count):
                 total += values[:, b]
@@ -583,8 +599,30 @@ def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> Q
             raise InputError(f"tree {b} has {v.size} values for {leaves} leaves")
     values = tuple(v for _, _, v in trees)
     if dimension == 1:
-        edges = tuple(_edges_born_by(partition, lam) for partition, lam, _ in trees)
-        return QueryIndex(dimension=1, tree_count=len(trees), edges=edges, leaf_values=values)
+        edges, inverse = unique_inverse(np.concatenate(
+            [_edges_born_by(partition, lam) for partition, lam, _ in trees]))
+        cells = edges.shape[0] + 1
+        # every leaf of every tree, in tree order, stops at the cell that
+        # starts at its right edge (edges[p] starts cell p + 1), or at the
+        # end for a tree's last leaf, and starts where the leaf before it
+        # stops, or at cell 0 for a tree's first leaf; a zero-width leaf
+        # runs over no cell
+        leaf_counts = np.array([v.shape[0] for v in values])
+        firsts = np.cumsum(leaf_counts) - leaf_counts
+        has_right = np.ones(leaf_counts.sum(), dtype=bool)
+        has_right[firsts + leaf_counts - 1] = False
+        stops = np.full(has_right.shape, cells)
+        stops[has_right] = inverse + 1
+        runs = stops.copy()
+        runs[1:] -= stops[:-1]
+        runs[firsts] = stops[firsts]
+        # per cell, the float operations of a per-point sum: tree values
+        # added in tree order to a zero total, divided by T once
+        total = np.zeros(cells)
+        for v, first in zip(values, firsts.tolist()):
+            total += v.repeat(runs[first:first + v.shape[0]])
+        return QueryIndex(dimension=1, tree_count=len(trees), edges=edges,
+                          cell_mean=total / len(trees))
     parts = [prune(partition, lam)[0] for partition, lam, _ in trees]
     sizes = np.array([p.split_dim.shape[0] for p in parts])
     roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))

@@ -34,6 +34,7 @@ def test_clamp():
 def test_as_point_accepts_sequences_and_validates():
     p = as_point([0.2, 0.8])
     assert p.shape == (2,)
+    assert as_point([]).shape == (0,)
     with pytest.raises(InputError):
         as_point([[0.2, 0.8]])
     with pytest.raises(InputError):

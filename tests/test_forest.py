@@ -16,10 +16,13 @@ from mondrian_forest import (
     ValueBox,
     classify,
     classify_batch,
+    density_eval,
+    density_eval_batch,
     fit_density_forest,
     fit_forest,
     fit_forest_auto,
     fit_tree,
+    leaf_count_at,
     load_forest,
     predict,
     predict_batch,
@@ -28,7 +31,9 @@ from mondrian_forest import (
     sample_partition,
     save_forest,
 )
-from mondrian_forest.partition import LOCKSTEP_MAX_POINTS, prune
+from mondrian_forest.partition import LOCKSTEP_MAX_POINTS, compile_index, prune
+
+from oracles import locate_scan
 
 
 def gaussian_data(seed: int, n: int, d: int = 1) -> Dataset:
@@ -174,6 +179,11 @@ def test_classify_requires_surrogate():
     forest = fit_forest(data, LossSpec("squared"), config_for(16))
     with pytest.raises(InputError):
         classify_batch(forest, np.array([[0.5]]))
+    with pytest.raises(InputError, match="^classification requires a surrogate loss family$"):
+        classify(forest, [0.5])
+    # a single point is checked before the loss
+    with pytest.raises(InputError, match=r"^point lies outside \[0,1\]\^d$"):
+        classify(forest, [1.5])
 
 
 def test_label_flip_flips_decisions():
@@ -256,7 +266,49 @@ def test_property_compiled_mean_is_the_tree_order_sum(d, size, data):
     for tree in forest.trees:
         expected += predict_tree_batch(tree, xs)
     expected /= len(forest.trees)
-    assert np.array_equal(predict_batch(forest, xs), expected)
+    got = predict_batch(forest, xs)
+    assert np.array_equal(got, expected)
+    # byte for byte, so a -0.0 against a 0.0 shows
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_overlay_is_tree_order_sum(index, trees):
+    """In d = 1, ``index.mean`` at every overlay edge, just below each edge
+    and at 0 and 1 is the tree-order sum of the leaf values over the trees
+    ``(partition, lambda, values)``, divided once, bit for bit; the leaf
+    holding each point is found by a scan of the leaf cells."""
+    edges = index.edges
+    xs = np.concatenate((edges, np.nextafter(edges, -1.0), [0.0, 1.0]))
+    expected = np.zeros(xs.shape[0])
+    for partition, lam, values in trees:
+        expected += values[[locate_scan(partition, lam, [x]) for x in xs]]
+    expected /= len(trees)
+    assert index.mean(xs.reshape(-1, 1)).tobytes() == expected.tobytes()
+
+
+@given(data=st.data())
+def test_property_overlay_cells_hold_the_tree_order_sum(data):
+    horizon = 6.0
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    drawn = [(partition, data.draw(st.floats(0.0, horizon)))
+             for partition in sample_forest(1, horizon, seed, data.draw(st.integers(1, 3)))]
+    # the first tree again, so every edge it has is shared, and a tree
+    # at lambda 0, which has no edges
+    drawn += [drawn[0], (drawn[-1][0], 0.0)]
+    # sums of up to five values of at most 1e300 stay finite
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]), st.floats(-1e300, 1e300))
+    trees = [(partition, lam, np.array(data.draw(st.lists(
+        value, min_size=leaf_count_at(partition, lam), max_size=leaf_count_at(partition, lam)))))
+        for partition, lam in drawn]
+    index = compile_index(trees)
+    assert np.array_equal(index.edges, np.unique(np.concatenate(
+        [partition.threshold[partition.birth_time <= lam] for partition, lam in drawn])))
+    assert_overlay_is_tree_order_sum(index, trees)
+    rng = np.random.default_rng(seed)
+    model = fit_density_forest(rng.random((80, 1)), data.draw(st.floats(0.0, horizon)),
+                               data.draw(st.integers(1, 4)), seed, ValueBox(-3.0, 3.0))
+    assert_overlay_is_tree_order_sum(
+        model.index, [(tree.partition, tree.lam, tree.heights) for tree in model.trees])
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -268,3 +320,43 @@ def test_point_query_is_exactly_its_batch_row(d):
     batch = predict_batch(forest, xs)
     for i in [0, 1, 2, 3, 1000, LOCKSTEP_MAX_POINTS]:
         assert predict(forest, xs[i]) == batch[i]
+
+
+@pytest.mark.parametrize("query", ["predict", "classify", "density_eval"])
+@pytest.mark.parametrize("x, message", [
+    ([[0.5]], "expected a 1-d point, got shape (1, 1)"),
+    ([0.5, 0.5], "point has dimension 2, expected 1"),
+    ([float("nan")], "point has non-finite coordinates"),
+    ([-0.1], "point lies outside [0,1]^d"),
+    ([1.1], "point lies outside [0,1]^d"),
+])
+def test_point_queries_name_what_is_wrong_with_the_point(query, x, message):
+    if query == "density_eval":
+        model = fit_density_forest(np.random.default_rng(23).random((100, 1)), 3.0, 2, 24,
+                                   ValueBox(-3, 3))
+    else:
+        model = fit_forest(label_data(25, 100), LossSpec("phi1"), config_for(26, trees=2))
+    with pytest.raises(InputError) as caught:
+        {"predict": predict, "classify": classify, "density_eval": density_eval}[query](model, x)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("trees", [1, 30])
+def test_one_dimensional_queries_search_once(trees, monkeypatch):
+    forest = fit_forest(gaussian_data(27, 200), LossSpec("squared"),
+                        config_for(28, trees=trees, lam=6.0))
+    model = fit_density_forest(gaussian_data(29, 200).points, 6.0, trees, 30, ValueBox(-3, 3))
+    xs = np.random.default_rng(31).random((500, 1))
+    calls = []
+    searchsorted = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    for query, fitted, points in ((predict_batch, forest, xs), (predict, forest, xs[0]),
+                                  (density_eval_batch, model, xs), (density_eval, model, xs[0])):
+        calls.clear()
+        query(fitted, points)
+        assert len(calls) == 1, query.__name__
