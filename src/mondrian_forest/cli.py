@@ -26,6 +26,7 @@ from .core import (
     save_dataset_csv,
 )
 from .density import (
+    DEFAULT_GRID_POINTS,
     density_eval_batch,
     fit_density_forest,
     save_density_model,
@@ -38,7 +39,7 @@ from .forest import (
     predict_batch,
     save_forest,
 )
-from .losses import LossSpec, default_value_box
+from .losses import EXPFAMILY_FAMILIES, SURROGATE_FAMILIES, LossSpec, default_value_box
 from .experiments import (
     AutoRule,
     ExperimentSpec,
@@ -69,8 +70,7 @@ def parse_loss(text: str) -> LossSpec:
         raise InputError(f"loss {name!r} takes no parameter")
     if name == "l2":
         return LossSpec("squared")
-    if name in ("gaussian", "poisson", "bernoulli", "geometric", "density") or \
-            name in tuple(f"phi{k}" for k in range(1, 7)):
+    if name in EXPFAMILY_FAMILIES + SURROGATE_FAMILIES + ("density",):
         return LossSpec(name)
     raise InputError(f"unknown loss {text!r}")
 
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--box")
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-points", dest="grid_points", type=_count, default=2**15)
+    p.add_argument("--grid-points", dest="grid_points", type=_count, default=DEFAULT_GRID_POINTS)
     p.add_argument("--eval-grid", dest="eval_grid", type=_count, default=1000)
     p.add_argument("--eval-out", dest="eval_out")
     add_common(p)

@@ -202,28 +202,26 @@ def density_index(trees: Sequence[DensityTree]) -> QueryIndex:
 
 
 def overlay_breakpoints(trees: Sequence[DensityTree]) -> np.ndarray:
-    """Sorted union of all 1-d trees' cell boundaries: 0, 1 and the thresholds in use."""
+    """Sorted union of all 1-d trees' cell boundaries: 0, 1 and the thresholds
+    in use. The library no longer calls it; tests and acceptance criterion 8
+    integrate over it as a mesh built apart from the compiled index, and
+    ``bench/tracing.py`` wraps it by name."""
     edges = [np.array([0.0, 1.0])]
     for tree in trees:
         edges.append(tree.partition.threshold[tree.partition.split_dim >= 0])
     return unique_inverse(np.concatenate(edges))[0]
 
 
-def log_normalizer_for(trees: Sequence[DensityTree], index: QueryIndex,
-                       integration: ExactOverlay | GridMC) -> float:
-    """ln of the integral of exp(average tree log-density) over the cube;
-    ``index`` is the trees' :func:`density_index`."""
-    dimension = trees[0].partition.dimension
+def log_normalizer_for(index: QueryIndex, integration: ExactOverlay | GridMC) -> float:
+    """ln of the integral over the cube of exp(mean log-height of the trees in
+    ``index``); exact in d = 1, where each cell adds width x exp(``cell_mean``)."""
     if isinstance(integration, ExactOverlay):
-        if dimension != 1:
+        if index.dimension != 1:
             raise InputError("exact overlay normalization requires d = 1")
-        edges = overlay_breakpoints(trees)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        widths = np.diff(edges)
-        h_bar = index.mean(mids.reshape(-1, 1))
-        return float(math.log(np.dot(widths, np.exp(h_bar))))
+        widths = np.diff(np.concatenate(([0.0], index.edges, [1.0])))
+        return float(math.log(np.dot(widths, np.exp(index.cell_mean))))
     from scipy.stats import qmc  # slow to import; only this branch needs it
-    sampler = qmc.Sobol(d=dimension, scramble=True,
+    sampler = qmc.Sobol(d=index.dimension, scramble=True,
                         seed=np.random.default_rng(integration.seed))
     exponent = int(round(math.log2(integration.point_count)))
     if 2**exponent == integration.point_count:
@@ -236,7 +234,7 @@ def log_normalizer_for(trees: Sequence[DensityTree], index: QueryIndex,
 
 
 def log_normalizer(model: DensityModel) -> float:
-    return log_normalizer_for(model.trees, model.index, model.integration)
+    return log_normalizer_for(model.index, model.integration)
 
 
 def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
@@ -257,7 +255,7 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
         heights = recenter(heights, leaf_volumes(partition, lam))
         trees.append(DensityTree(partition=partition, heights=heights))
     index = density_index(trees)
-    ln_z = log_normalizer_for(trees, index, integration)
+    ln_z = log_normalizer_for(index, integration)
     return DensityModel(trees=tuple(trees), log_normalizer=ln_z,
                         integration=integration, index=index)
 

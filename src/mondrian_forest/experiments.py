@@ -18,7 +18,7 @@ import numpy as np
 from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError
 from .forest import Forest, fit_forest, predict_batch
 from .losses import LossSpec, default_value_box
-from .partition import leaf_bounds, leaf_count_at, locate_batch, sample_forest
+from .partition import leaf_bounds, locate_batch, sample_forest
 from .selection import default_lambda_max, fit_forest_auto
 from .synth import TargetFunction, generate, true_excess_risk
 
@@ -206,8 +206,8 @@ def partition_stats(dimension: int, lam: float, tree_count: int,
     counts = np.empty(tree_count)
     diams = np.empty(tree_count)
     for b, tree in enumerate(sample_forest(dimension, lam, seed, tree_count)):
-        counts[b] = leaf_count_at(tree, lam)
         lo, hi = leaf_bounds(tree, lam)
+        counts[b] = lo.shape[0]
         diams[b] = np.sqrt(np.sum((hi - lo)[locate_batch(tree, lam, center)[0]] ** 2))
     def se(v: np.ndarray) -> float:
         return float(np.std(v, ddof=1) / math.sqrt(tree_count)) if tree_count > 1 else 0.0

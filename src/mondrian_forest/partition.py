@@ -586,21 +586,22 @@ class QueryIndex:
 
 def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> QueryIndex:
     """The :class:`QueryIndex` of ``(partition, lambda, leaf values)`` triples."""
-    trees = [(partition, _check_lambda(partition, lam), np.asarray(values, dtype=float))
-             for partition, lam, values in trees]
+    # the splits born by a tree's lambda: its leaf count and, in d = 1, its edges
+    trees = [(partition, lam, partition.birth_time <= _check_lambda(partition, lam),
+              np.asarray(values, dtype=float)) for partition, lam, values in trees]
     if not trees:
         raise InputError("a model needs at least one tree")
     dimension = trees[0][0].dimension
-    if any(partition.dimension != dimension for partition, _, _ in trees):
+    if any(partition.dimension != dimension for partition, _, _, _ in trees):
         raise InputError("the trees of a model differ in dimension")
-    for b, (partition, lam, v) in enumerate(trees):
-        leaves = leaf_count_at(partition, lam)
+    for b, (_, _, born, v) in enumerate(trees):
+        leaves = 1 + int(np.count_nonzero(born))
         if v.shape != (leaves,):
             raise InputError(f"tree {b} has {v.size} values for {leaves} leaves")
-    values = tuple(v for _, _, v in trees)
+    values = tuple(v for _, _, _, v in trees)
     if dimension == 1:
         edges, inverse = unique_inverse(np.concatenate(
-            [_edges_born_by(partition, lam) for partition, lam, _ in trees]))
+            [np.sort(partition.threshold[born]) for partition, _, born, _ in trees]))
         cells = edges.shape[0] + 1
         # every leaf of every tree, in tree order, stops at the cell that
         # starts at its right edge (edges[p] starts cell p + 1), or at the
@@ -623,7 +624,7 @@ def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> Q
             total += v.repeat(runs[first:first + v.shape[0]])
         return QueryIndex(dimension=1, tree_count=len(trees), edges=edges,
                           cell_mean=total / len(trees))
-    parts = [prune(partition, lam)[0] for partition, lam, _ in trees]
+    parts = [prune(partition, lam)[0] for partition, lam, _, _ in trees]
     sizes = np.array([p.split_dim.shape[0] for p in parts])
     roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     split_dim = np.concatenate([p.split_dim for p in parts])

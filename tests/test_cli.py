@@ -21,7 +21,8 @@ from mondrian_forest import (
 )
 from mondrian_forest import cli
 from mondrian_forest.cli import main, parse_box, parse_loss
-from mondrian_forest.density import load_density_model
+from mondrian_forest.density import DEFAULT_GRID_POINTS, load_density_model
+from mondrian_forest.losses import EXPFAMILY_FAMILIES, SURROGATE_FAMILIES
 from mondrian_forest.partition import MAX_NODE_BOUND_ENTRIES
 
 
@@ -37,6 +38,12 @@ def test_parse_loss_valid():
     assert parse_loss("gaussian") == LossSpec("gaussian")
     assert parse_loss("phi3") == LossSpec("phi3")
     assert parse_loss("density") == LossSpec("density")
+    for name in EXPFAMILY_FAMILIES + SURROGATE_FAMILIES + ("density",):
+        assert parse_loss(name) == LossSpec(name)
+        assert parse_loss(f" {name.upper()} ") == LossSpec(name)
+    args = cli.build_parser().parse_args(
+        ["density", "--input", "in.csv", "--lambda", "2", "--out", "model.json"])
+    assert args.grid_points == DEFAULT_GRID_POINTS
 
 
 def test_parse_loss_errors():
@@ -50,6 +57,9 @@ def test_parse_loss_errors():
         parse_loss("pinball:abc")
     with pytest.raises(InputError):
         parse_loss("absolute")
+    # the squared loss is spelled l2 on the command line
+    with pytest.raises(InputError, match="unknown loss 'squared'"):
+        parse_loss("squared")
 
 
 def test_parse_box():

@@ -8,6 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from mondrian_forest import (
     Cell,
+    DensityModel,
+    DensityTree,
+    ExactOverlay,
+    FittedTree,
     NumericError,
     PartitionTree,
     ValueBox,
@@ -19,6 +23,7 @@ from mondrian_forest import (
     load_density_model,
     locate_batch,
     log_normalizer,
+    predict_tree_batch,
     recenter,
     sample_partition,
     save_density_model,
@@ -245,6 +250,57 @@ def test_underflowing_box_bottom_is_a_numeric_error():
     with pytest.raises(NumericError):
         _scale_equation_heights(np.array([4.0, 0.0]), np.array([0.5, 0.5]), 4,
                                 ValueBox(-800.0, 5.0))
+
+
+def one_dimensional_model(trees) -> DensityModel:
+    """A hand-made d = 1 model of ``(split_dim, threshold, birth_time, heights)``
+    trees, each at horizon 1, whose stored ln Z is a placeholder 0."""
+    return DensityModel(
+        trees=tuple(DensityTree(PartitionTree(1, 1.0, dims, thresholds, births, "manual"),
+                                np.array(heights, dtype=float))
+                    for dims, thresholds, births, heights in trees),
+        log_normalizer=0.0, integration=ExactOverlay())
+
+
+def test_normalizer_reads_the_cells_between_adjacent_float_edges():
+    # the cell [a, b) between two adjacent floats carries the mean 350;
+    # the midpoint of a and b rounds onto an edge, so a mesh searched at
+    # its midpoints misses that cell
+    a = 0.3
+    b = np.nextafter(a, 1.0)
+    model = one_dimensional_model([
+        ([0, -1, -1], [a, math.nan, math.nan], [0.5, math.inf, math.inf], [0.0, 700.0]),
+        ([0, -1, -1], [b, math.nan, math.nan], [0.5, math.inf, math.inf], [0.0, -700.0]),
+    ])
+    widths = np.array([a, b - a, 1.0 - b])
+    exact = math.log(float(np.dot(widths, np.exp([0.0, 350.0, 0.0]))))
+    assert exact == 312.57005224976297
+    assert log_normalizer(model) == exact
+
+
+def test_thresholds_on_the_cube_edges_go_through_the_overlay():
+    nan, inf = math.nan, math.inf
+    model = one_dimensional_model([
+        # a split at 0, whose left leaf [0, 0) has no width
+        ([0, -1, -1], [0.0, nan, nan], [0.3, inf, inf], [700.0, 0.25]),
+        # a split at 1, whose right leaf [1, 1] has no width
+        ([0, -1, -1], [1.0, nan, nan], [0.6, inf, inf], [-0.5, 700.0]),
+        # a split at 0.5 whose left child splits at 0.5 again: [0.5, 0.5) has no width
+        ([0, 0, -1, -1, -1], [0.5, 0.5, nan, nan, nan], [0.2, 0.4, inf, inf, inf],
+         [1.5, 700.0, -2.0]),
+    ])
+    xs = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
+    expected = np.zeros(xs.shape[0])
+    for tree in model.trees:
+        expected += predict_tree_batch(FittedTree(tree.partition, tree.lam, tree.heights), xs)
+    expected /= len(model.trees)
+    assert model.index.mean(xs).tobytes() == expected.tobytes()
+    # the zero-width leaves hold 700, which would show at any width; the
+    # overlay's zero-width end cells hold two of them and add exact zeros
+    cuts = overlay_breakpoints(model.trees)
+    mids = (0.5 * (cuts[:-1] + cuts[1:])).reshape(-1, 1)
+    mesh = math.log(float(np.dot(np.diff(cuts), np.exp(model.index.mean(mids)))))
+    assert abs(log_normalizer(model) - mesh) < 1e-12
 
 
 def test_full_pipeline_handles_binding_boxes():

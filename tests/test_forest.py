@@ -1,5 +1,7 @@
 """Tests for ensemble fitting, prediction, classification, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from mondrian_forest import (
     fit_tree,
     leaf_count_at,
     load_forest,
+    log_normalizer,
     predict,
     predict_batch,
     predict_tree_batch,
@@ -31,6 +34,7 @@ from mondrian_forest import (
     sample_partition,
     save_forest,
 )
+from mondrian_forest.density import overlay_breakpoints
 from mondrian_forest.partition import LOCKSTEP_MAX_POINTS, compile_index, prune
 
 from oracles import locate_scan
@@ -309,6 +313,13 @@ def test_property_overlay_cells_hold_the_tree_order_sum(data):
                                data.draw(st.integers(1, 4)), seed, ValueBox(-3.0, 3.0))
     assert_overlay_is_tree_order_sum(
         model.index, [(tree.partition, tree.lam, tree.heights) for tree in model.trees])
+    # ln Z read off the index is the integral over a mesh built apart from
+    # it, searched at the mesh's midpoints, bit for bit
+    ln_z = log_normalizer(model)
+    assert ln_z == model.log_normalizer
+    cuts = overlay_breakpoints(model.trees)
+    mids = (0.5 * (cuts[:-1] + cuts[1:])).reshape(-1, 1)
+    assert ln_z == math.log(np.dot(np.diff(cuts), np.exp(model.index.mean(mids))))
 
 
 @pytest.mark.parametrize("d", [1, 2])
