@@ -36,6 +36,7 @@ from .partition import (
     PartitionTree,
     QueryIndex,
     compile_index,
+    json_float,
     json_int,
     leaf_bounds,
     load_model,
@@ -300,7 +301,7 @@ def density_model_from_obj(obj: dict) -> DensityModel:
                                  seed=json_int(integ_obj["seed"], "seed"))
         else:
             raise InputError(f"unknown integration method {integ_obj['method']!r}")
-        log_z = float(obj["log_normalizer"])
+        log_z = json_float(obj["log_normalizer"], "log_normalizer")
         dimension = json_int(obj["dimension"], "dimension")
         tree_objs = list(obj["trees"])
     except InputError:

@@ -20,6 +20,7 @@ from .losses import LossSpec, is_surrogate
 from .partition import (
     QueryIndex,
     compile_index,
+    json_float,
     json_int,
     load_model,
     sample_forest,
@@ -114,17 +115,22 @@ def forest_to_obj(forest: Forest) -> dict:
 
 
 def forest_from_obj(obj: dict) -> Forest:
-    """Read :func:`forest_to_obj` output; every leaf value must lie in the box."""
+    """Read :func:`forest_to_obj` output; every leaf value must lie in the box,
+    and the trees must agree with the header: at a fixed lambda every tree's
+    horizon is that lambda, at an auto one at most ``lambda_max``, and no
+    tree has more leaves than ``leaf_cap``."""
     try:
         dimension = json_int(obj["dimension"], "dimension")
         tree_objs = list(obj["trees"])
-        spec = LossSpec(**obj["loss"])
-        box = ValueBox(float(obj["box"][0]), float(obj["box"][1]))
+        spec = LossSpec(**{key: value if key == "family" else json_float(value, f"loss {key}")
+                           for key, value in obj["loss"].items()})
+        box = ValueBox(json_float(obj["box"][0], "box"), json_float(obj["box"][1], "box"))
         mode_obj = obj["lambda_mode"]
         if mode_obj["mode"] == "fixed":
-            mode = FixedLambda(float(mode_obj["value"]))
+            mode = FixedLambda(json_float(mode_obj["value"], "lambda"))
         elif mode_obj["mode"] == "auto":
-            mode = AutoLambda(float(mode_obj["alpha"]), float(mode_obj["lambda_max"]))
+            mode = AutoLambda(json_float(mode_obj["alpha"], "alpha"),
+                              json_float(mode_obj["lambda_max"], "lambda_max"))
         else:
             raise InputError(f"unknown lambda mode {mode_obj['mode']!r}")
         config = FitConfig(
@@ -135,6 +141,14 @@ def forest_from_obj(obj: dict) -> Forest:
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"malformed forest object: {exc!r}") from exc
     trees = tuple(FittedTree(*tree) for tree in trees_from_obj(tree_objs, dimension, box))
+    for b, tree in enumerate(trees):
+        if isinstance(mode, FixedLambda) and tree.lam != mode.value:
+            raise InputError(f"tree {b} has horizon {tree.lam}, not the fixed lambda {mode.value}")
+        if isinstance(mode, AutoLambda) and tree.lam > mode.lambda_max:
+            raise InputError(f"tree {b} has horizon {tree.lam}, above lambda_max {mode.lambda_max}")
+        leaves = int(np.count_nonzero(tree.partition.split_dim < 0))
+        if leaves > config.leaf_cap:
+            raise InputError(f"tree {b} has {leaves} leaves, over the leaf cap {config.leaf_cap}")
     return Forest(trees=trees, spec=spec, config=config)
 
 

@@ -26,7 +26,8 @@ stored pruned at its horizon (:func:`prune`), so the stored genealogy's
 horizon is the tree's ``lambda`` and no split born after it is kept.
 
 A fitted model answers queries through one :class:`QueryIndex` over all of
-its trees, compiled when the model is fitted or loaded.
+its trees, compiled when the model is fitted or loaded; in d >= 2 its
+:class:`SlabGrid` lookup table is built on the first query.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,6 +64,26 @@ MAX_NODE_BOUND_ENTRIES = 2**27
 # 8 192 on d=3, lambda=4, 10 trees (10 vs 14 ms at 4 096); lockstep takes
 # 3.7x as long at 10^5 points (2.55 vs 0.69 s on regress-d2).
 LOCKSTEP_MAX_POINTS = 4096
+
+# A d >= 2 index answers by table lookup (SlabGrid), built on its first
+# query, when its grid cells plus slab steps come to at most this many
+# entries, 8 bytes each; a larger one keeps the two walks. Measured (median
+# of 5, a 2-vCPU Xeon host, 10^5 points; build + lookup against the walk):
+# regress-d2's forest (d=2, lambda=10, 50 trees, 0.51 M entries) 16 + 45 vs
+# 270 ms; d=2, lambda=15, 50 trees (1.43 M) 32 + 61 vs 377 ms; d=3,
+# lambda=4, 10 trees (1.06 M) 20 + 32 vs 64 ms. Above the budget a first
+# batch can lose: d=4, lambda=2, 10 trees (3.97 M) 73 + 45 vs 74 ms, d=3,
+# lambda=5, 10 trees (5.16 M) 86 + 38 vs 80 ms. The build peaks near 20
+# bytes per entry (tracemalloc), about 42 MB at the budget.
+GRID_MAX_ENTRIES = 2**21
+
+# SlabGrid.sums looks up a batch of at most this many points for every tree
+# at once, and a larger one tree by tree. Measured as above: the two break
+# even at 1 024 points on regress-d2's forest (1.15 vs 1.20 ms), on d=3,
+# lambda=4, 10 trees (0.51 vs 0.51 ms) and on d=2, lambda=5, 100 trees
+# (1.70 vs 1.86 ms); at 4 096 the tree-by-tree loop is faster (2.9 vs 6.5 ms
+# on regress-d2), at 256 the all-pairs lookup (0.33 vs 0.64 ms).
+GRID_PAIRS_MAX_POINTS = 1024
 
 # sample_forest derives its trees in batches of at least this many nodes (or
 # the rest of the forest), one kernel run each, whose arrays take about 110
@@ -190,22 +212,9 @@ def _derive_genealogies(trees: list[PartitionTree]) -> None:
     if np.any(births[parents + 1] < births[parents]) or \
             np.any(births[right[parents]] < births[parents]):
         raise InputError("split birth times decrease down a path")
-    threshold = np.concatenate([tree.threshold for tree in trees])
     lo = np.zeros((nodes, dimension))
     hi = np.ones_like(lo)
-    # one level of every tree per step: both children get the parent's
-    # corners, cut at the threshold along the split dimension
-    level = starts[splits[starts]]
-    while level.size:
-        j, t = dims[level], threshold[level]
-        if not np.all((lo[level, j] <= t) & (t <= hi[level, j])):
-            raise InputError("split threshold outside its node's cell")
-        left, rights = level + 1, right[level]
-        lo[left] = lo[rights] = lo[level]
-        hi[left] = hi[rights] = hi[level]
-        hi[left, j] = lo[rights, j] = t
-        level = np.concatenate((left, rights))
-        level = level[splits[level]]
+    _cut_cells(starts, dims, np.concatenate([tree.threshold for tree in trees]), right, lo, hi)
     right[parents] -= start[parents]
     for arr in (right, lo, hi):
         arr.flags.writeable = False
@@ -213,6 +222,26 @@ def _derive_genealogies(trees: list[PartitionTree]) -> None:
         object.__setattr__(tree, "right", right[a:b])
         object.__setattr__(tree, "cell_lo", lo[a:b])
         object.__setattr__(tree, "cell_hi", hi[a:b])
+
+
+def _cut_cells(roots: np.ndarray, dims: np.ndarray, cuts: np.ndarray, right: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray) -> None:
+    """Fill the corners ``lo`` and ``hi`` of every node below ``roots`` from
+    the roots' own rows, in place: one level of every tree per step, both
+    children of a split get its corners, cut at ``cuts`` along its dimension
+    ``dims`` (-1 at a leaf). ``right`` holds the global right children, and
+    a cut outside its node's cell is an :class:`InputError`."""
+    level = roots[dims[roots] >= 0]
+    while level.size:
+        j, t = dims[level], cuts[level]
+        if not np.all((lo[level, j] <= t) & (t <= hi[level, j])):
+            raise InputError("split threshold outside its node's cell")
+        left, rights = level + 1, right[level]
+        lo[left] = lo[rights] = lo[level]
+        hi[left] = hi[rights] = hi[level]
+        hi[left, j] = lo[rights, j] = t
+        level = np.concatenate((left, rights))
+        level = level[dims[level] >= 0]
 
 
 def sample_split(lo, hi, rng: np.random.Generator) -> tuple[int, float]:
@@ -252,7 +281,11 @@ def _draw_nodes(dimension: int, horizon: float, rng: np.random.Generator,
     stack = [((0.0,) * dimension, (1.0,) * dimension, 0.0)]
     while stack:
         lo, hi, tau = stack.pop()
-        size = float(sum(b - a for a, b in zip(lo, hi)))
+        # left to right from 0.0: the builtin sum compensates its rounding
+        # from Python 3.12 on, which would change the draws with the interpreter
+        size = 0.0
+        for a, b in zip(lo, hi):
+            size += b - a
         birth = tau + rng.exponential(1.0 / size) if size > 0.0 else math.inf
         if birth > horizon:
             leaves += 1
@@ -525,6 +558,15 @@ class QueryIndex:
     right) at a split and (itself, itself) at a leaf, and ``depth`` is the
     longest root-to-leaf path in splits. The fields of the other case are
     unset.
+
+    A d >= 2 index answers from :attr:`grid`, every tree's leaf values
+    tabled over the product grid of its own thresholds: one search per
+    dimension and one gather per tree. The grid is derived from the arrays
+    above on the first query, so neither a fit nor a load builds it. An
+    index whose grid would exceed :data:`GRID_MAX_ENTRIES` walks instead:
+    every (point, tree) pair in lockstep for at most
+    :data:`LOCKSTEP_MAX_POINTS` points, and otherwise each tree partitioning
+    the points node by node.
     """
 
     dimension: int
@@ -549,6 +591,8 @@ class QueryIndex:
         """
         if self.dimension == 1:
             return self.cell_mean[_search_edges(self.edges, points[:, 0])]
+        if self.grid is not None:
+            return self.grid.sums(points) / self.tree_count
         total = np.zeros(points.shape[0])
         if points.shape[0] <= LOCKSTEP_MAX_POINTS:
             values = self.value[self._lockstep_leaves(points)]
@@ -557,6 +601,12 @@ class QueryIndex:
         else:
             self._add_partitioned(points, total)
         return total / self.tree_count
+
+    @cached_property
+    def grid(self) -> SlabGrid | None:
+        """In d >= 2, the :class:`SlabGrid` of the trees, built on first use;
+        None in d = 1 or when it would exceed :data:`GRID_MAX_ENTRIES`."""
+        return None if self.dimension == 1 else _slab_grid(self)
 
     def _lockstep_leaves(self, points: np.ndarray) -> np.ndarray:
         """Leaf node of every (point, tree) pair, walking all pairs one level per step."""
@@ -582,6 +632,119 @@ class QueryIndex:
                 if split_dim[node] < 0:
                     values[segment] = value[node]
             total += values
+
+
+class SlabGrid(NamedTuple):
+    """Every tree of a d >= 2 :class:`QueryIndex` as a table of leaf values.
+
+    Along dimension ``j``, tree ``b``'s thresholds cut [0, 1] into local
+    slabs, and its leaves tile the product grid of those slabs. ``cells``
+    holds every tree's grid flattened in C order, one after the other in
+    tree order, with the value of the leaf over each cell. ``edges[j]`` is
+    the sorted union of all trees' thresholds on ``j``, and a point's global
+    slab is ``searchsorted(edges[j], x_j, side="right")``: on an edge it is
+    the slab that starts there, the half-open ``[lo, S)`` ownership. Each
+    tree's thresholds are among ``edges[j]``, so a global slab lies in one
+    local slab of every tree, and ``steps[j][b, g]`` is tree ``b``'s flat
+    offset for global slab ``g`` along ``j``: the local slab times its
+    stride, plus, along ``j = 0``, where the tree's grid starts in ``cells``.
+    """
+
+    edges: tuple[np.ndarray, ...]
+    steps: tuple[np.ndarray, ...]
+    cells: np.ndarray
+
+    def sums(self, points: np.ndarray) -> np.ndarray:
+        """The sum over trees, in tree order from a zero total, of the value
+        of the leaf holding each point: for at most
+        :data:`GRID_PAIRS_MAX_POINTS` points, every (tree, point) pair at
+        once and a cumsum along a zero-led tree axis, which adds in that
+        order; for more, tree by tree."""
+        slabs = [np.searchsorted(e, points[:, j], side="right") for j, e in enumerate(self.edges)]
+        if points.shape[0] <= GRID_PAIRS_MAX_POINTS:
+            flat = _flat_cells(self.steps, slabs)
+            values = np.zeros((flat.shape[0] + 1, flat.shape[1]))
+            values[1:] = self.cells[flat]
+            return np.cumsum(values, axis=0, out=values)[-1]
+        total = np.zeros(points.shape[0])
+        for rows in zip(*self.steps):
+            total += self.cells[_flat_cells(rows, slabs)]
+        return total
+
+
+def _flat_cells(steps, slabs: list[np.ndarray]) -> np.ndarray:
+    """The sum over dimensions ``j`` of ``steps[j]`` taken at ``slabs[j]``
+    along its last axis: with one tree's rows of the steps, each point's
+    cell in ``cells``; with the whole (trees, slabs) arrays, a (tree,
+    point) table of them."""
+    flat = np.take(steps[0], slabs[0], axis=-1)
+    for step, slab in zip(steps[1:], slabs[1:]):
+        flat += np.take(step, slab, axis=-1)
+    return flat
+
+
+def _slab_grid(index: QueryIndex) -> SlabGrid | None:
+    """The :class:`SlabGrid` of a d >= 2 index, or None if its cells and
+    steps would exceed :data:`GRID_MAX_ENTRIES`, checked from the split
+    counts before any of them is allocated.
+
+    Tree ``b``'s local slab starting at split ``s``'s threshold is ``rank[s]``.
+    Every node's box of local slabs comes from :func:`_cut_cells` in integers:
+    the root spans every slab, a left child ends and a right child starts at
+    its parent's rank. Float corners could not tell a leaf touching the top
+    face from the left child of a split at 1.0. Each leaf then writes its
+    node index over its box, one run along the last axis per row: +index at
+    the run's start and -index just after it, and one cumsum of the runs
+    gives every cell its leaf. A zero-width leaf owns no cell.
+    """
+    dims, threshold, roots = index.split_dim, index.threshold, index.roots
+    trees, d, nodes = index.tree_count, index.dimension, dims.shape[0]
+    tree = np.repeat(np.arange(trees), np.diff(np.append(roots, nodes)))
+    splits = np.flatnonzero(dims >= 0)
+    counts = np.bincount(tree[splits] * d + dims[splits], minlength=trees * d).reshape(trees, d)
+    entries = np.prod(counts + 1.0, axis=1).sum() + trees * (counts.sum(axis=0) + 1).sum()
+    if entries > GRID_MAX_ENTRIES:
+        return None
+    rank = np.zeros(nodes, dtype=np.int64)
+    edges, local = [], []
+    for j in range(d):
+        on = np.flatnonzero(dims == j)
+        union, inverse = unique_inverse(threshold[on])
+        # local[b, g]: how many of tree b's distinct thresholds on j lie
+        # at or below global slab g's start, which is its local slab there
+        starts = np.zeros((trees, union.shape[0] + 1), dtype=np.int64)
+        starts[tree[on], inverse + 1] = 1
+        local.append(np.cumsum(starts, axis=1))
+        rank[on] = local[j][tree[on], inverse + 1]
+        edges.append(union)
+    shape = np.column_stack([slabs[:, -1] + 1 for slabs in local])
+    stride = np.ones_like(shape)
+    stride[:, :-1] = np.cumprod(shape[:, :0:-1], axis=1)[:, ::-1]
+    size = shape.prod(axis=1)
+    offset = np.cumsum(size) - size
+    steps = [slabs * stride[:, [j]] for j, slabs in enumerate(local)]
+    steps[0] += offset[:, None]
+    lo = np.zeros((nodes, d), dtype=np.int64)
+    hi = np.empty_like(lo)
+    hi[roots] = shape
+    _cut_cells(roots, dims, rank, index.child[1::2], lo, hi)
+    width = hi - lo
+    leaves = np.flatnonzero((dims < 0) & np.all(width > 0, axis=1))
+    lo, width, tree = lo[leaves], width[leaves], tree[leaves]
+    # one run per row of each leaf's box: the rows are the cells of its
+    # first d - 1 dimensions, counted in mixed radix by k
+    rows = width[:, :-1].prod(axis=1)
+    leaf = np.repeat(np.arange(leaves.shape[0]), rows)
+    k = np.arange(leaf.shape[0]) - np.repeat(np.cumsum(rows) - rows, rows)
+    start = offset[tree[leaf]] + lo[leaf, -1]
+    for j in range(d - 2, -1, -1):
+        k, digit = np.divmod(k, width[leaf, j])
+        start += (lo[leaf, j] + digit) * stride[tree[leaf], j]
+    # runs tile the cells, so no two runs start, or end, at one cell
+    runs = np.zeros(size.sum() + 1, dtype=np.int64)
+    runs[start] += leaves[leaf]
+    runs[start + width[leaf, -1]] -= leaves[leaf]
+    return SlabGrid(tuple(edges), tuple(steps), index.value[np.cumsum(runs, out=runs)[:-1]])
 
 
 def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> QueryIndex:
@@ -674,7 +837,7 @@ def _partition_args(obj: dict) -> tuple:
             if values.shape != (int(splits.sum()),):
                 raise ValueError(f"{key} needs one entry per split")
             full[splits] = values
-        return (json_int(obj["dimension"], "dimension"), float(obj["horizon"]),
+        return (json_int(obj["dimension"], "dimension"), json_float(obj["horizon"], "horizon"),
                 dims, threshold, birth_time, _json_str(obj["stream_id"], "stream_id"))
     except InputError:
         raise
@@ -693,6 +856,17 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_float(value, what: str) -> float:
+    """``value`` as a float if JSON read a number for it; a boolean, a string,
+    anything else or an integer beyond the float range is an :class:`InputError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{what} is beyond the float range") from exc
 
 
 def _json_str(value, what: str) -> str:

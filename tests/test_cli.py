@@ -508,6 +508,20 @@ MALFORMED_MODELS = [
     ("forest", "partition dimension not finite", _edit(lambda t, p: p.update(dimension=math.inf))),
     ("forest", "stream id not a string",
      _edit(lambda t, p: p.update(stream_id=None))),
+    ("forest", "fixed lambda 0 over trees at horizon 6",
+     lambda m: {**m, "lambda_mode": {"mode": "fixed", "value": 0.0}}),
+    ("forest", "a tree horizon of 1e308 under the fixed lambda",
+     _edit(lambda t, p: p.update(horizon=1e308))),
+    ("forest", "auto lambda_max below the tree horizons",
+     lambda m: {**m, "lambda_mode": {"mode": "auto", "alpha": 0.1, "lambda_max": 1.0}}),
+    ("forest", "more leaves than the leaf cap", lambda m: {**m, "leaf_cap": 1}),
+    ("forest", "fixed lambda a boolean",
+     lambda m: {**m, "lambda_mode": {"mode": "fixed", "value": True}}),
+    ("forest", "box bound a string", lambda m: {**m, "box": ["-5", 5.0]}),
+    ("forest", "box bound beyond the float range", lambda m: {**m, "box": [-10**400, 5.0]}),
+    ("forest", "huber delta a boolean",
+     lambda m: {**m, "loss": {"family": "huber", "delta": True}}),
+    ("forest", "partition horizon a boolean", _edit(lambda t, p: p.update(horizon=True))),
     ("forest", "not an object", lambda m: [1, 2]),
     ("forest", "not ASCII", lambda m: b"\xff\xfe"),
     ("density", "v1 format", lambda m: {**m, "format": "mondrian-density-v1"}),
@@ -515,6 +529,7 @@ MALFORMED_MODELS = [
     ("density", "heights cut short", _edit(lambda t, p: t.update(values=t["values"][:-1]))),
     ("density", "height not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.inf))),
     ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
+    ("density", "log normalizer a boolean", lambda m: {**m, "log_normalizer": False}),
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
     ("density", "tree 1 of 3 ends early",
      _in_tree(1, _edit(lambda t, p: p["split_dim"].pop()))),
@@ -531,6 +546,21 @@ MALFORMED_MODELS = [
      lambda m: {**m, "integration": {"method": "overlay"}}),
     ("dataset", "not ASCII", lambda m: b"x1,y\n\xff,1\n"),
 ]
+
+
+# what the error names, where the file would load without its rule
+MALFORMED_MESSAGES = {
+    "fixed lambda 0 over trees at horizon 6": "tree 0 has horizon 6.0, not the fixed lambda 0.0",
+    "a tree horizon of 1e308 under the fixed lambda": "not the fixed lambda 6.0",
+    "auto lambda_max below the tree horizons": "tree 0 has horizon 6.0, above lambda_max 1.0",
+    "more leaves than the leaf cap": "leaves, over the leaf cap 1",
+    "fixed lambda a boolean": "lambda must be a number, got True",
+    "box bound a string": "box must be a number, got '-5'",
+    "box bound beyond the float range": "box is beyond the float range",
+    "huber delta a boolean": "loss delta must be a number, got True",
+    "partition horizon a boolean": "horizon must be a number, got True",
+    "log normalizer a boolean": "log_normalizer must be a number, got False",
+}
 
 
 def _model_file(tmp_path, kind):
@@ -586,6 +616,7 @@ def test_malformed_model_files_are_input_errors(tmp_path, capsys, kind, case, mu
         err = str(raised.value)
     if case == "v2 file":
         assert f"mondrian-{kind}-v3" in err
+    assert MALFORMED_MESSAGES.get(case, "") in err
     if case in ("values cut short", "one value too many", "heights cut short"):
         leaves = len(model["trees"][0]["partition"]["threshold"]) + 1
         assert "tree 0 has" in err and f"values for {leaves} leaves" in err

@@ -1,6 +1,7 @@
 """Tests for ensemble fitting, prediction, classification, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from mondrian_forest import (
     AutoLambda,
     Dataset,
     FitConfig,
+    FittedTree,
     FixedLambda,
     Forest,
     InputError,
     LossSpec,
+    PartitionTree,
     ResourceError,
     ValueBox,
     classify,
@@ -35,7 +38,13 @@ from mondrian_forest import (
     save_forest,
 )
 from mondrian_forest.density import overlay_breakpoints
-from mondrian_forest.partition import LOCKSTEP_MAX_POINTS, compile_index, prune
+import mondrian_forest.partition as partition_module
+from mondrian_forest.partition import (
+    GRID_PAIRS_MAX_POINTS,
+    LOCKSTEP_MAX_POINTS,
+    compile_index,
+    prune,
+)
 
 from oracles import locate_scan
 
@@ -248,12 +257,29 @@ def refit_forests(draw, d):
     return Forest(trees=trees, spec=spec, config=config)
 
 
-# batch sizes on both sides of the crossover between the d >= 2 kernels
-@pytest.mark.parametrize("size", [None, LOCKSTEP_MAX_POINTS, LOCKSTEP_MAX_POINTS + 1])
-@pytest.mark.parametrize("d", [1, 2, 3])
+# (dimension, kernel): the d = 1 overlay; in d >= 2 the slab grid, and the
+# walks under a zero grid budget
+KERNELS = [(1, "overlay"), (2, "grid"), (2, "walk"), (3, "grid"), (3, "walk")]
+
+
+def answer(forest, query, points, kernel):
+    """``query(forest, points)``, answered by ``kernel``; the grid is built
+    on a model's first query, so the budget in force then decides."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "walk":
+            patch.setattr(partition_module, "GRID_MAX_ENTRIES", 0)
+        got = query(forest, points)
+    assert (forest.index.grid is not None) == (kernel == "grid")
+    return got
+
+
+# batch sizes on both sides of the crossovers between the d >= 2 kernels
+@pytest.mark.parametrize("size", [None, GRID_PAIRS_MAX_POINTS, GRID_PAIRS_MAX_POINTS + 1,
+                                  LOCKSTEP_MAX_POINTS, LOCKSTEP_MAX_POINTS + 1])
+@pytest.mark.parametrize("d, kernel", KERNELS)
 @settings(max_examples=20)
 @given(data=st.data())
-def test_property_compiled_mean_is_the_tree_order_sum(d, size, data):
+def test_property_compiled_mean_is_the_tree_order_sum(d, kernel, size, data):
     forest = data.draw(refit_forests(d))
     # thresholds, in use or not, and the cube's faces, where ownership decides
     special = [0.0, 1.0] + [t for tree in forest.trees
@@ -270,7 +296,7 @@ def test_property_compiled_mean_is_the_tree_order_sum(d, size, data):
     for tree in forest.trees:
         expected += predict_tree_batch(tree, xs)
     expected /= len(forest.trees)
-    got = predict_batch(forest, xs)
+    got = answer(forest, predict_batch, xs, kernel)
     assert np.array_equal(got, expected)
     # byte for byte, so a -0.0 against a 0.0 shows
     assert got.tobytes() == expected.tobytes()
@@ -322,15 +348,101 @@ def test_property_overlay_cells_hold_the_tree_order_sum(data):
     assert ln_z == math.log(np.dot(np.diff(cuts), np.exp(model.index.mean(mids))))
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_point_query_is_exactly_its_batch_row(d):
+@pytest.mark.parametrize("d, kernel", KERNELS[:3])
+def test_point_query_is_exactly_its_batch_row(d, kernel):
     data = gaussian_data(110, 400, d)
     forest = fit_forest(data, LossSpec("squared"), config_for(21, trees=6, lam=4.0))
     xs = np.random.default_rng(22).random((LOCKSTEP_MAX_POINTS + 1, d))
     xs[:3] = np.array([[forest.trees[0].partition.threshold[0]], [0.0], [1.0]])
-    batch = predict_batch(forest, xs)
+    batch = answer(forest, predict_batch, xs, kernel)
     for i in [0, 1, 2, 3, 1000, LOCKSTEP_MAX_POINTS]:
-        assert predict(forest, xs[i]) == batch[i]
+        assert predict(forest, xs[i]).hex() == batch[i].hex()
+
+
+def hand_made_forest(sign: float = 1.0) -> Forest:
+    """Three d = 2 trees with thresholds on 0.0 and 1.0, a threshold
+    repeated on one dimension, and zero-width leaves, plus a single leaf.
+    Leaf values are powers of two times ``sign``, so every sum names its
+    leaves; at ``sign`` -0.0 every value is -0.0 and every mean +0.0."""
+    def tree(split_dim, threshold, values):
+        splits = np.array(split_dim) >= 0
+        birth = np.where(splits, 0.5, math.inf)
+        partition = PartitionTree(2, 1.0, split_dim, np.where(splits, threshold, math.nan),
+                                  birth, "hand")
+        return FittedTree(partition, 1.0, np.array(values, dtype=float) * sign)
+
+    nan = math.nan
+    trees = (
+        # x0 at 1.0: [0, 1) and the face [1, 1]; below, x1 at 0.0 and 0.5
+        tree([0, 1, -1, -1, 1, -1, -1], [1.0, 0.0, nan, nan, 0.5, nan, nan], [1, 2, 4, 8]),
+        # x0 at 0.5 twice: a zero-width [0.5, 0.5); then x1 at 1.0
+        tree([0, -1, 0, -1, 1, -1, -1], [0.5, nan, 0.5, nan, 1.0, nan, nan],
+             [16, 32, 64, 128]),
+        # x1 at 0.0, then x0 at 0.0: two zero-width leaves at the origin faces
+        tree([1, -1, 0, -1, -1], [0.0, nan, 0.0, nan, nan], [256, 512, 1024]),
+        tree([-1], [nan], [2048]),
+    )
+    return Forest(trees, LossSpec("squared"),
+                  FitConfig(len(trees), FixedLambda(1.0), ValueBox(0.0, 4096.0), seed=0))
+
+
+@pytest.mark.parametrize("sign", [1.0, -0.0])
+@pytest.mark.parametrize("kernel", ["grid", "walk"])
+def test_hand_made_trees_answer_at_edges_and_faces(kernel, sign):
+    forest = hand_made_forest(sign)
+    # edges, faces, and just below each edge
+    grid = [0.0, 5e-324, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.75, np.nextafter(1.0, 0.0), 1.0]
+    xs = np.array([[a, b] for a in grid for b in grid])
+    got = answer(forest, predict_batch, xs, kernel)
+    expected = np.zeros(xs.shape[0])
+    for tree in forest.trees:
+        expected += predict_tree_batch(tree, xs)
+    assert got.tobytes() == (expected / 4).tobytes()
+    for x, value in zip(xs, got):
+        assert predict(forest, x).hex() == value.hex()
+    if sign != 1.0:
+        assert not np.any(np.signbit(got))
+        return
+    # a point on x0 = 1 is in the face leaf of tree 0, on x0 = 0.5 past both
+    # splits of tree 1, and on x1 = 1 in the face leaf of tree 1
+    assert predict(forest, [1.0, 0.25]) * 4 == 4 + 64 + 1024 + 2048
+    assert predict(forest, [0.5, 1.0]) * 4 == 2 + 128 + 1024 + 2048
+    assert predict(forest, [0.0, 0.0]) * 4 == 2 + 16 + 1024 + 2048
+
+
+def test_the_grid_is_built_on_the_first_query_only(tmp_path):
+    forest = fit_forest(gaussian_data(32, 300, 2), LossSpec("squared"),
+                        config_for(33, trees=4, lam=4.0))
+    save_forest(forest, tmp_path / "model.json")
+    back = load_forest(tmp_path / "model.json")
+    for model in (forest, back):
+        assert "grid" not in vars(model.index)
+        predict(model, [0.5, 0.5])
+        assert "grid" in vars(model.index) and model.index.grid is not None
+
+
+def test_an_over_budget_model_answers_by_the_walk_and_allocates_no_grid():
+    # d = 5, lambda = 3: about 10^13 grid cells, far over the budget
+    forest = fit_forest(gaussian_data(34, 200, 5), LossSpec("squared"),
+                        config_for(35, trees=20, lam=3.0))
+    xs = np.random.default_rng(36).random((50, 5))
+    nodes = forest.index.split_dim.shape[0]
+    tracemalloc.start()
+    try:
+        first = predict(forest, xs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forest.index.grid is None
+    # less than the integer slab corners of the nodes, the build's first
+    # arrays, would take
+    assert peak < 2 * nodes * 5 * 8
+    expected = np.zeros(xs.shape[0])
+    for tree in forest.trees:
+        expected += predict_tree_batch(tree, xs)
+    batch = predict_batch(forest, xs)
+    assert batch.tobytes() == (expected / 20).tobytes()
+    assert first.hex() == batch[0].hex()
 
 
 @pytest.mark.parametrize("query", ["predict", "classify", "density_eval"])
