@@ -36,6 +36,7 @@ from .partition import (
     PartitionTree,
     QueryIndex,
     compile_index,
+    group_forest,
     json_float,
     json_int,
     leaf_bounds,
@@ -114,12 +115,17 @@ def fit_density_tree(partition: PartitionTree, lam: float, xs,
     """
     points = as_points(xs, dimension=partition.dimension)
     vols = leaf_volumes(partition, lam)
+    return _leaf_heights(np.bincount(locate_batch(partition, lam, points), minlength=vols.shape[0]),
+                         vols, box)
+
+
+def _leaf_heights(counts: np.ndarray, vols: np.ndarray, box: ValueBox) -> np.ndarray:
+    """:func:`fit_density_tree` for leaves holding ``counts`` points, of volumes ``vols``."""
     if np.any(vols <= 0.0):
         raise NumericError("partition has a zero-volume leaf")
-    n = points.shape[0]
+    n = int(counts.sum())
     if n == 0:
         return np.full(vols.shape[0], box.lo)
-    counts = np.bincount(locate_batch(partition, lam, points), minlength=vols.shape[0])
 
     # unit-mass stationary point, clamped into the box
     with np.errstate(divide="ignore"):
@@ -250,11 +256,16 @@ def fit_density_forest(xs, lam: float, tree_count: int, seed: int,
         integration: ExactOverlay | GridMC = ExactOverlay()
     else:
         integration = GridMC(point_count=grid_points, seed=int(seed))
-    trees = []
-    for partition in sample_forest(dimension, lam, seed, tree_count, leaf_cap):
-        heights = fit_density_tree(partition, lam, points, box)
-        heights = recenter(heights, leaf_volumes(partition, lam))
-        trees.append(DensityTree(partition=partition, heights=heights))
+    partitions = list(sample_forest(dimension, lam, seed, tree_count, leaf_cap))
+    if dimension == 1:
+        fitted = (fit_density_tree(partition, lam, points, box) for partition in partitions)
+    else:
+        fitted = (_leaf_heights(counts, leaf_volumes(partition, lam), box)
+                  for partition, (_, counts) in zip(partitions,
+                                                    group_forest(partitions, lam, points)))
+    trees = [DensityTree(partition=partition,
+                         heights=recenter(heights, leaf_volumes(partition, lam)))
+             for partition, heights in zip(partitions, fitted)]
     index = density_index(trees)
     ln_z = log_normalizer_for(index, integration)
     return DensityModel(trees=tuple(trees), log_normalizer=ln_z,

@@ -18,7 +18,7 @@ import numpy as np
 from .core import Dataset, FitConfig, FixedLambda, AutoLambda, InputError
 from .forest import Forest, fit_forest, predict_batch
 from .losses import LossSpec, default_value_box
-from .partition import leaf_bounds, locate_batch, sample_forest
+from .partition import leaf_bounds, sample_forest
 from .selection import default_lambda_max, fit_forest_auto
 from .synth import TargetFunction, generate, true_excess_risk
 
@@ -202,13 +202,14 @@ def partition_stats(dimension: int, lam: float, tree_count: int,
     """
     if tree_count < 100:
         raise InputError("partition statistics need at least 100 trees")
-    center = np.full((1, dimension), 0.5)
     counts = np.empty(tree_count)
     diams = np.empty(tree_count)
     for b, tree in enumerate(sample_forest(dimension, lam, seed, tree_count)):
         lo, hi = leaf_bounds(tree, lam)
         counts[b] = lo.shape[0]
-        diams[b] = np.sqrt(np.sum((hi - lo)[locate_batch(tree, lam, center)[0]] ** 2))
+        # the one leaf whose half-open cell holds the center, off every face
+        center = np.flatnonzero(np.all((lo <= 0.5) & (0.5 < hi), axis=1))[0]
+        diams[b] = np.sqrt(np.sum((hi[center] - lo[center]) ** 2))
     def se(v: np.ndarray) -> float:
         return float(np.std(v, ddof=1) / math.sqrt(tree_count)) if tree_count > 1 else 0.0
     return (float(counts.mean()), se(counts), float(diams.mean()), se(diams))

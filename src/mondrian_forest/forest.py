@@ -16,10 +16,12 @@ from .core import (
     as_point,
     as_points,
 )
+from .leaf_fit import fit_groups
 from .losses import LossSpec, is_surrogate
 from .partition import (
     QueryIndex,
     compile_index,
+    group_forest,
     json_float,
     json_int,
     load_model,
@@ -28,7 +30,7 @@ from .partition import (
     tree_to_obj,
     trees_from_obj,
 )
-from .tree import FittedTree, fit_tree
+from .tree import FittedTree
 
 DEFAULT_TREE_COUNT = 100
 
@@ -55,14 +57,22 @@ class Forest:
 
 
 def fit_forest(data: Dataset, spec: LossSpec, config: FitConfig) -> Forest:
-    """Fit ``config.tree_count`` trees at a fixed horizon and ensemble them."""
+    """Fit ``config.tree_count`` trees at a fixed horizon and ensemble them.
+
+    Each tree's leaves are fitted as :func:`fit_tree` fits them, from the
+    points that :func:`group_forest` groups for a run of trees at a time.
+    """
     if not isinstance(config.lambda_mode, FixedLambda):
         raise InputError("fit_forest requires FixedLambda mode; use fit_forest_auto")
     lam = config.lambda_mode.value
-    trees = tuple(fit_tree(partition, lam, data, spec, config.value_box)
-                  for partition in sample_forest(data.dimension, lam, config.seed,
-                                                 config.tree_count, config.leaf_cap))
-    return Forest(trees=trees, spec=spec, config=config)
+    partitions = list(sample_forest(data.dimension, lam, config.seed, config.tree_count,
+                                    config.leaf_cap))
+    ys = data.require_responses()
+    trees = []
+    for partition, (order, counts) in zip(partitions, group_forest(partitions, lam, data.points)):
+        values, _ = fit_groups(spec, counts, ys[order], config.value_box)
+        trees.append(FittedTree(partition, lam, values))
+    return Forest(trees=tuple(trees), spec=spec, config=config)
 
 
 def predict_batch(forest: Forest, xs) -> np.ndarray:
@@ -117,8 +127,9 @@ def forest_to_obj(forest: Forest) -> dict:
 def forest_from_obj(obj: dict) -> Forest:
     """Read :func:`forest_to_obj` output; every leaf value must lie in the box,
     and the trees must agree with the header: at a fixed lambda every tree's
-    horizon is that lambda, at an auto one at most ``lambda_max``, and no
-    tree has more leaves than ``leaf_cap``."""
+    horizon is that lambda, at an auto one at most ``lambda_max``, tree
+    ``b``'s stream id is ``"{seed}/{b}"``, as :func:`sample_forest` names
+    it, and no tree has more leaves than ``leaf_cap``."""
     try:
         dimension = json_int(obj["dimension"], "dimension")
         tree_objs = list(obj["trees"])
@@ -146,6 +157,9 @@ def forest_from_obj(obj: dict) -> Forest:
             raise InputError(f"tree {b} has horizon {tree.lam}, not the fixed lambda {mode.value}")
         if isinstance(mode, AutoLambda) and tree.lam > mode.lambda_max:
             raise InputError(f"tree {b} has horizon {tree.lam}, above lambda_max {mode.lambda_max}")
+        if tree.partition.stream_id != f"{config.seed}/{b}":
+            raise InputError(f"tree {b} has stream id {tree.partition.stream_id!r}, "
+                             f"not {config.seed}/{b} of seed {config.seed}")
         leaves = int(np.count_nonzero(tree.partition.split_dim < 0))
         if leaves > config.leaf_cap:
             raise InputError(f"tree {b} has {leaves} leaves, over the leaf cap {config.leaf_cap}")

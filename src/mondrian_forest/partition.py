@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,6 +84,18 @@ GRID_MAX_ENTRIES = 2**21
 # (1.70 vs 1.86 ms); at 4 096 the tree-by-tree loop is faster (2.9 vs 6.5 ms
 # on regress-d2), at 256 the all-pairs lookup (0.33 vs 0.64 ms).
 GRID_PAIRS_MAX_POINTS = 1024
+
+# group_forest reads the leaf ids of a fit's points from one SlabGrid per run
+# of trees, each run as many trees as keep its cells plus slab steps within
+# this many entries; the steps grow with the run's trees times its
+# thresholds, so one grid for a whole forest grows quadratically. Measured on
+# regress-d2's forest (d=2, lambda=10, 50 trees, 50 000 points; median of 7,
+# a 2-vCPU Xeon host; tracemalloc peak of grouping every tree): the walk 274
+# ms, 2.5 MB; one tree per run 69 ms, 3.0 MB; 2^15 (8 runs) 46 ms, 3.3 MB;
+# 2^16 (5 runs) 42-46 ms, 3.6 MB; 2^17 (3 runs) 40-42 ms, 5.3 MB; one run
+# (0.47 M entries) 45 ms, 11.2 MB. The CLI fit's peak RSS was 43.8-44.1 MB
+# with the walk, 44.2-44.3 at 2^15, 45.0 at 2^16 and 45.6 at 2^17.
+GROUP_BATCH_ENTRIES = 2**15
 
 # sample_forest derives its trees in batches of at least this many nodes (or
 # the rest of the forest), one kernel run each, whose arrays take about 110
@@ -486,19 +498,39 @@ def group_points(tree: PartitionTree, lam: float, xs) -> tuple[np.ndarray, np.nd
 
     ``order`` lists the point indices leaf by leaf in leaf-id order, each
     leaf's points in increasing index order, and ``counts[k]`` is the number
-    of points in leaf ``k`` (0 where no point lands). In d = 1, one binary
-    search over the edges born by ``lam`` and a stable argsort of its leaf
-    ids. Otherwise each split partitions its points in place, left child
-    before right, by a boolean selection that keeps index order, so the
-    walk's final order is the grouping; an empty half is not followed, so
-    one point costs one root-to-leaf path.
+    of points in leaf ``k`` (0 where no point lands). It is the one-tree
+    case of :func:`group_forest`: the leaf ids from one binary search over
+    the edges born by ``lam`` in d = 1, or from the tree's slab grid in
+    d >= 2, then their stable argsort and their count per leaf. A tree whose
+    grid would exceed :data:`GRID_MAX_ENTRIES` walks instead.
     """
-    points = as_points(xs, dimension=tree.dimension)
-    lam = _check_lambda(tree, lam)
-    if tree.dimension == 1:
-        edges = _edges_born_by(tree, lam)
-        ids = _search_edges(edges, points[:, 0])
-        return np.argsort(ids, kind="stable"), np.bincount(ids, minlength=edges.shape[0] + 1)
+    return next(group_forest([tree], lam, xs))
+
+
+def group_forest(trees: Sequence[PartitionTree], lam: float,
+                 xs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``group_points(tree, lam, xs)`` for each of ``trees``, in tree order.
+
+    The trees share one dimension. In d >= 2 they are taken in runs whose
+    :class:`SlabGrid` of leaf ids fits :data:`GROUP_BATCH_ENTRIES`; the
+    points are searched once per dimension, then each tree's ids are one
+    gather (see :func:`_leaf_ids`). A stable argsort of 8- or 16-bit ids is
+    a radix sort. Trees are yielded one at a time, so one tree's ``order``
+    is alive at a time.
+    """
+    points = as_points(xs, dimension=trees[0].dimension)
+    for tree, ids in zip(trees, _leaf_ids(trees, lam, points)):
+        if ids is None:
+            yield _walk_groups(tree, lam, points)
+        else:
+            yield np.argsort(ids, kind="stable"), np.bincount(ids, minlength=leaf_count_at(tree, lam))
+
+
+def _walk_groups(tree: PartitionTree, lam: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`group_points` by walking the tree: each split partitions its
+    points in place, left child before right, by a boolean selection that
+    keeps index order, so the walk's final order is the grouping; an empty
+    half is not followed, so one point costs one root-to-leaf path."""
     split_dim = np.where(tree.birth_time <= lam, tree.split_dim, -1).tolist()
     order = np.arange(points.shape[0])
     counts = np.zeros(tree.split_dim.shape[0], dtype=np.int64)
@@ -506,6 +538,83 @@ def group_points(tree: PartitionTree, lam: float, xs) -> tuple[np.ndarray, np.nd
                                         0, _columns(points), order):
         counts[node] = segment.shape[0]
     return order, counts[leaf_nodes(tree, lam)]
+
+
+def _leaf_ids(trees: Sequence[PartitionTree], lam: float,
+              points: np.ndarray) -> Iterator[np.ndarray | None]:
+    """For each of ``trees``, in tree order, the time-``lam`` leaf id of each
+    of the checked ``points``.
+
+    In d = 1, one binary search over the tree's edges born by ``lam``. In
+    d >= 2, the ids are read from a :class:`SlabGrid` whose cells hold leaf
+    ids, in the smallest unsigned type that holds every tree's, one grid per
+    run of trees (see :func:`_grid_runs`); None for a tree whose own grid
+    would exceed :data:`GRID_MAX_ENTRIES`, which is left to the walk. The
+    points are searched once per dimension, among the union of every
+    gridded tree's thresholds; a run's edges are among them, so a point's
+    slab in a run's grid is read from a table indexed by its slab in the union.
+    """
+    d = points.shape[1]
+    if d == 1:
+        for tree in trees:
+            yield _search_edges(_edges_born_by(tree, _check_lambda(tree, lam)), points[:, 0])
+        return
+    runs = list(_grid_runs(trees, lam, d))
+    gridded = [tree for run in runs if run is not None for tree in run]
+    unions = [unique_inverse(np.concatenate(
+        [tree.threshold[(tree.split_dim == j) & (tree.birth_time <= lam)] for tree in gridded]))[0]
+        for j in range(d)] if gridded else []
+    slabs = [np.searchsorted(union, points[:, j], side="right") for j, union in enumerate(unions)]
+    for run in runs:
+        if run is None:
+            yield None
+            continue
+        nodes = _concatenate([(tree, lam) for tree in run])
+        edges, steps, cells = _leaf_grid(nodes, d)
+        # each leaf's id within its tree: the leaves up to it, less one and
+        # less those before its tree's root
+        leaf = nodes.split_dim < 0
+        seen = np.cumsum(leaf)
+        before = seen[nodes.roots] - leaf[nodes.roots]
+        local = seen - 1 - np.repeat(before, np.diff(np.append(nodes.roots, leaf.shape[0])))
+        ids = local[cells].astype(np.min_scalar_type(local.max()))
+        yield from SlabGrid(edges, steps, ids).tree_cells(
+            [_run_slabs(e, u)[s] for e, u, s in zip(edges, unions, slabs)])
+
+
+def _run_slabs(edges: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """Which slab of sorted ``edges`` holds each slab of their sorted
+    superset ``union``: slab ``g > 0`` of the union starts at ``union[g - 1]``,
+    so it lies in the slab of the edges at or below that."""
+    starts = np.zeros(union.shape[0] + 1, dtype=np.int64)
+    starts[np.searchsorted(union, edges) + 1] = 1
+    return np.cumsum(starts)
+
+
+def _grid_runs(trees: Sequence[PartitionTree], lam: float,
+               dimension: int) -> Iterator[list[PartitionTree] | None]:
+    """``trees`` in tree order, in runs that share one :class:`SlabGrid`:
+    each run is one tree, or as many as keep the entries of its grid, counted
+    by :func:`_grid_entries` from the splits born by ``lam`` before any grid
+    array is allocated, within :data:`GROUP_BATCH_ENTRIES`. A tree whose own
+    grid would exceed :data:`GRID_MAX_ENTRIES` is yielded as None."""
+    run, cells, splits = [], 0.0, 0
+    for tree in trees:
+        count = np.bincount(tree.split_dim[tree.birth_time <= _check_lambda(tree, lam)],
+                            minlength=dimension)
+        own_cells, own_splits = float(np.prod(count + 1.0)), int(count.sum())
+        over = _grid_entries(own_cells, own_splits, 1, dimension) > GRID_MAX_ENTRIES
+        if run and (over or _grid_entries(cells + own_cells, splits + own_splits, len(run) + 1,
+                                          dimension) > GROUP_BATCH_ENTRIES):
+            yield run
+            run, cells, splits = [], 0.0, 0
+        if over:
+            yield None
+        else:
+            run.append(tree)
+            cells, splits = cells + own_cells, splits + own_splits
+    if run:
+        yield run
 
 
 def node_groups(tree: PartitionTree, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -530,16 +639,18 @@ def node_groups(tree: PartitionTree, xs) -> tuple[np.ndarray, np.ndarray]:
 def locate_batch(tree: PartitionTree, lam: float, xs) -> np.ndarray:
     """Leaf id of the time-``lam`` cell holding each point, as an int array.
 
-    In d = 1, one binary search over the edges born by ``lam``; otherwise
-    the leaf ids that :func:`group_points` groups the points by.
+    The leaf ids that :func:`group_points` groups the points by: in d = 1,
+    one binary search over the edges born by ``lam``, and in d >= 2 one
+    lookup in the tree's slab grid, or the walk's grouping inverted when
+    the grid would exceed :data:`GRID_MAX_ENTRIES`.
     """
-    if tree.dimension == 1:
-        points = as_points(xs, dimension=1)
-        return _search_edges(_edges_born_by(tree, _check_lambda(tree, lam)), points[:, 0])
-    order, counts = group_points(tree, lam, xs)
-    ids = np.empty(order.shape[0], dtype=np.int64)
-    ids[order] = np.repeat(np.arange(counts.shape[0]), counts)
-    return ids
+    points = as_points(xs, dimension=tree.dimension)
+    ids = next(_leaf_ids([tree], lam, points))
+    if ids is None:
+        order, counts = _walk_groups(tree, lam, points)
+        ids = np.empty(order.shape[0], dtype=np.int64)
+        ids[order] = np.repeat(np.arange(counts.shape[0]), counts)
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,9 +715,20 @@ class QueryIndex:
 
     @cached_property
     def grid(self) -> SlabGrid | None:
-        """In d >= 2, the :class:`SlabGrid` of the trees, built on first use;
-        None in d = 1 or when it would exceed :data:`GRID_MAX_ENTRIES`."""
-        return None if self.dimension == 1 else _slab_grid(self)
+        """In d >= 2, the :class:`SlabGrid` of the trees' leaf values, built on
+        first use; None in d = 1 or when it would exceed :data:`GRID_MAX_ENTRIES`."""
+        if self.dimension == 1:
+            return None
+        nodes = TreeNodes(self.roots, self.split_dim, self.threshold, self.child)
+        trees, d = self.tree_count, self.dimension
+        splits = np.flatnonzero(self.split_dim >= 0)
+        counts = np.bincount(_node_trees(nodes)[splits] * d + self.split_dim[splits],
+                             minlength=trees * d).reshape(trees, d)
+        cells = float(np.prod(counts + 1.0, axis=1).sum())
+        if _grid_entries(cells, splits.shape[0], trees, d) > GRID_MAX_ENTRIES:
+            return None
+        edges, steps, leaves = _leaf_grid(nodes, d)
+        return SlabGrid(edges, steps, self.value[leaves])
 
     def _lockstep_leaves(self, points: np.ndarray) -> np.ndarray:
         """Leaf node of every (point, tree) pair, walking all pairs one level per step."""
@@ -635,12 +757,13 @@ class QueryIndex:
 
 
 class SlabGrid(NamedTuple):
-    """Every tree of a d >= 2 :class:`QueryIndex` as a table of leaf values.
+    """Every tree of a run of d >= 2 trees as a table of their leaves.
 
     Along dimension ``j``, tree ``b``'s thresholds cut [0, 1] into local
     slabs, and its leaves tile the product grid of those slabs. ``cells``
     holds every tree's grid flattened in C order, one after the other in
-    tree order, with the value of the leaf over each cell. ``edges[j]`` is
+    tree order, with the value of the leaf over each cell (a query's index)
+    or its leaf id within its tree (a fit's grouping). ``edges[j]`` is
     the sorted union of all trees' thresholds on ``j``, and a point's global
     slab is ``searchsorted(edges[j], x_j, side="right")``: on an edge it is
     the slab that starts there, the half-open ``[lo, S)`` ownership. Each
@@ -667,9 +790,15 @@ class SlabGrid(NamedTuple):
             values[1:] = self.cells[flat]
             return np.cumsum(values, axis=0, out=values)[-1]
         total = np.zeros(points.shape[0])
-        for rows in zip(*self.steps):
-            total += self.cells[_flat_cells(rows, slabs)]
+        for values in self.tree_cells(slabs):
+            total += values
         return total
+
+    def tree_cells(self, slabs: list[np.ndarray]) -> Iterator[np.ndarray]:
+        """For each tree, in tree order, the entry of ``cells`` at each point
+        whose global slab along dimension ``j`` is ``slabs[j]``."""
+        for rows in zip(*self.steps):
+            yield self.cells[_flat_cells(rows, slabs)]
 
 
 def _flat_cells(steps, slabs: list[np.ndarray]) -> np.ndarray:
@@ -683,10 +812,52 @@ def _flat_cells(steps, slabs: list[np.ndarray]) -> np.ndarray:
     return flat
 
 
-def _slab_grid(index: QueryIndex) -> SlabGrid | None:
-    """The :class:`SlabGrid` of a d >= 2 index, or None if its cells and
-    steps would exceed :data:`GRID_MAX_ENTRIES`, checked from the split
-    counts before any of them is allocated.
+def _grid_entries(cells: float, splits: int, trees: int, dimension: int) -> float:
+    """The entries of a :class:`SlabGrid` over ``trees`` trees with ``cells``
+    grid cells (per tree, the product over dimensions of its splits there
+    plus one) and ``splits`` splits in all: its cells, plus per tree one
+    step per global slab of each dimension, counted as if no two trees
+    shared a threshold."""
+    return cells + trees * (splits + dimension)
+
+
+class TreeNodes(NamedTuple):
+    """Trees pruned at their lambdas and concatenated in tree order, each in
+    pre-order, as :class:`QueryIndex` holds them: ``roots[b]`` is tree
+    ``b``'s first node, and ``child`` the flattened ``(nodes, 2)`` table of
+    global child indices, (left, right) at a split and (itself, itself) at
+    a leaf."""
+
+    roots: np.ndarray
+    split_dim: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+
+
+def _concatenate(trees: Iterable[tuple[PartitionTree, float]]) -> TreeNodes:
+    """The :class:`TreeNodes` of ``(partition, lambda)`` pairs."""
+    parts = [prune(partition, lam)[0] for partition, lam in trees]
+    sizes = np.array([p.split_dim.shape[0] for p in parts])
+    roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    split_dim = np.concatenate([p.split_dim for p in parts])
+    leaf = split_dim < 0
+    node = np.arange(split_dim.shape[0])
+    right = np.concatenate([p.right for p in parts]) + np.repeat(roots, sizes)  # read at splits
+    return TreeNodes(roots, split_dim, np.concatenate([p.threshold for p in parts]),
+                     np.column_stack((np.where(leaf, node, node + 1),
+                                      np.where(leaf, node, right))).ravel())
+
+
+def _node_trees(nodes: TreeNodes) -> np.ndarray:
+    """The tree of each node."""
+    sizes = np.diff(np.append(nodes.roots, nodes.split_dim.shape[0]))
+    return np.repeat(np.arange(sizes.shape[0]), sizes)
+
+
+def _leaf_grid(nodes: TreeNodes, d: int) -> tuple[tuple, tuple, np.ndarray]:
+    """The ``edges`` and ``steps`` of the :class:`SlabGrid` of the trees in
+    ``nodes``, and the leaf node over each of its cells; the caller checks
+    :func:`_grid_entries` first.
 
     Tree ``b``'s local slab starting at split ``s``'s threshold is ``rank[s]``.
     Every node's box of local slabs comes from :func:`_cut_cells` in integers:
@@ -697,15 +868,10 @@ def _slab_grid(index: QueryIndex) -> SlabGrid | None:
     the run's start and -index just after it, and one cumsum of the runs
     gives every cell its leaf. A zero-width leaf owns no cell.
     """
-    dims, threshold, roots = index.split_dim, index.threshold, index.roots
-    trees, d, nodes = index.tree_count, index.dimension, dims.shape[0]
-    tree = np.repeat(np.arange(trees), np.diff(np.append(roots, nodes)))
-    splits = np.flatnonzero(dims >= 0)
-    counts = np.bincount(tree[splits] * d + dims[splits], minlength=trees * d).reshape(trees, d)
-    entries = np.prod(counts + 1.0, axis=1).sum() + trees * (counts.sum(axis=0) + 1).sum()
-    if entries > GRID_MAX_ENTRIES:
-        return None
-    rank = np.zeros(nodes, dtype=np.int64)
+    dims, threshold, roots = nodes.split_dim, nodes.threshold, nodes.roots
+    trees, count = roots.shape[0], dims.shape[0]
+    tree = _node_trees(nodes)
+    rank = np.zeros(count, dtype=np.int64)
     edges, local = [], []
     for j in range(d):
         on = np.flatnonzero(dims == j)
@@ -724,10 +890,10 @@ def _slab_grid(index: QueryIndex) -> SlabGrid | None:
     offset = np.cumsum(size) - size
     steps = [slabs * stride[:, [j]] for j, slabs in enumerate(local)]
     steps[0] += offset[:, None]
-    lo = np.zeros((nodes, d), dtype=np.int64)
+    lo = np.zeros((count, d), dtype=np.int64)
     hi = np.empty_like(lo)
     hi[roots] = shape
-    _cut_cells(roots, dims, rank, index.child[1::2], lo, hi)
+    _cut_cells(roots, dims, rank, nodes.child[1::2], lo, hi)
     width = hi - lo
     leaves = np.flatnonzero((dims < 0) & np.all(width > 0, axis=1))
     lo, width, tree = lo[leaves], width[leaves], tree[leaves]
@@ -744,7 +910,7 @@ def _slab_grid(index: QueryIndex) -> SlabGrid | None:
     runs = np.zeros(size.sum() + 1, dtype=np.int64)
     runs[start] += leaves[leaf]
     runs[start + width[leaf, -1]] -= leaves[leaf]
-    return SlabGrid(tuple(edges), tuple(steps), index.value[np.cumsum(runs, out=runs)[:-1]])
+    return tuple(edges), tuple(steps), np.cumsum(runs, out=runs)[:-1]
 
 
 def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> QueryIndex:
@@ -787,27 +953,18 @@ def compile_index(trees: Iterable[tuple[PartitionTree, float, np.ndarray]]) -> Q
             total += v.repeat(runs[first:first + v.shape[0]])
         return QueryIndex(dimension=1, tree_count=len(trees), edges=edges,
                           cell_mean=total / len(trees))
-    parts = [prune(partition, lam)[0] for partition, lam, _, _ in trees]
-    sizes = np.array([p.split_dim.shape[0] for p in parts])
-    roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    split_dim = np.concatenate([p.split_dim for p in parts])
-    leaf = split_dim < 0
-    node = np.arange(split_dim.shape[0])
-    right = np.concatenate([p.right for p in parts]) + np.repeat(roots, sizes)  # read at splits
-    value = np.full(split_dim.shape[0], math.nan)
-    value[leaf] = np.concatenate(values)
+    nodes = _concatenate((partition, lam) for partition, lam, _, _ in trees)
+    value = np.full(nodes.split_dim.shape[0], math.nan)
+    value[nodes.split_dim < 0] = np.concatenate(values)
     # one level of every tree per step, until no split is left
-    depth, level = 0, roots[split_dim[roots] >= 0]
+    right = nodes.child[1::2]
+    depth, level = 0, nodes.roots[nodes.split_dim[nodes.roots] >= 0]
     while level.size:
         depth += 1
         level = np.concatenate((level + 1, right[level]))
-        level = level[split_dim[level] >= 0]
-    return QueryIndex(
-        dimension=dimension, tree_count=len(trees), roots=roots, split_dim=split_dim,
-        threshold=np.concatenate([p.threshold for p in parts]), value=value,
-        child=np.column_stack((np.where(leaf, node, node + 1),
-                               np.where(leaf, node, right))).ravel(),
-        depth=depth)
+        level = level[nodes.split_dim[level] >= 0]
+    return QueryIndex(dimension=dimension, tree_count=len(trees), value=value, depth=depth,
+                      **nodes._asdict())
 
 
 def partition_to_obj(tree: PartitionTree) -> dict:
@@ -833,7 +990,7 @@ def _partition_args(obj: dict) -> tuple:
         threshold = np.full(dims.shape, math.nan)
         birth_time = np.full(dims.shape, math.inf)
         for full, key in ((threshold, "threshold"), (birth_time, "birth_time")):
-            values = np.asarray(obj[key], dtype=float)
+            values = json_floats(obj[key], key)
             if values.shape != (int(splits.sum()),):
                 raise ValueError(f"{key} needs one entry per split")
             full[splits] = values
@@ -869,6 +1026,23 @@ def json_float(value, what: str) -> float:
         raise InputError(f"{what} is beyond the float range") from exc
 
 
+def json_floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array if JSON read a list of numbers for it, the
+    array twin of :func:`json_float`: anything else, a list holding a
+    boolean, a string or anything but a number, or an integer beyond the
+    float range is an :class:`InputError`."""
+    if not isinstance(values, list):
+        raise InputError(f"{what} must be a list of numbers, got {type(values).__name__}")
+    kinds = set(map(type, values)) - {int, float}
+    if kinds:
+        raise InputError(f"{what} must be a list of numbers, got "
+                         f"{', '.join(sorted(kind.__name__ for kind in kinds))}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise InputError(f"{what} holds a number beyond the float range") from exc
+
+
 def _json_str(value, what: str) -> str:
     """``value`` if JSON read a string for it; anything else is an :class:`InputError`."""
     if not isinstance(value, str):
@@ -894,8 +1068,8 @@ def trees_from_obj(objs: Iterable[dict], dimension: int,
     for obj in objs:
         try:
             partition_obj = obj["partition"]
-            tree_values = np.asarray(obj["values"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            tree_values = json_floats(obj["values"], "values")
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed tree object: {exc!r}") from exc
         args.append(_partition_args(partition_obj))
         if args[-1][0] != dimension:

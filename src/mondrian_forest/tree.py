@@ -29,12 +29,13 @@ def fit_tree(partition: PartitionTree, lam: float, data: Dataset,
              spec: LossSpec, box: ValueBox) -> FittedTree:
     """Fit the constant of every leaf of the time-``lam`` partition.
 
-    One :func:`group_points` walk groups the points by leaf (a binary
-    search over the leaf edges in d = 1, an in-place partition of the point
-    indices split by split otherwise); one :func:`fit_groups` call then
-    solves every leaf's box-constrained scalar problem on the responses
+    :func:`group_points` groups the points by leaf (a binary search over
+    the leaf edges in d = 1, a lookup in the tree's slab grid otherwise, or
+    a walk for a tree over the grid budget); one :func:`fit_groups` call
+    then solves every leaf's box-constrained scalar problem on the responses
     taken in that order. An empty dataset leaves every leaf at the empty
-    default.
+    default. :func:`mondrian_forest.forest.fit_forest` fits its trees the
+    same way, grouping the points for a run of trees at a time.
     """
     if data.dimension != partition.dimension:
         raise InputError(

@@ -522,6 +522,15 @@ MALFORMED_MODELS = [
     ("forest", "huber delta a boolean",
      lambda m: {**m, "loss": {"family": "huber", "delta": True}}),
     ("forest", "partition horizon a boolean", _edit(lambda t, p: p.update(horizon=True))),
+    ("forest", "birth time a boolean", _edit(lambda t, p: p["birth_time"].__setitem__(0, False))),
+    ("forest", "threshold a string", _edit(lambda t, p: p["threshold"].__setitem__(0, "0.5"))),
+    ("forest", "value a boolean", _edit(lambda t, p: t["values"].__setitem__(0, True))),
+    ("forest", "value beyond the float range",
+     _edit(lambda t, p: t["values"].__setitem__(0, 10**400))),
+    ("forest", "threshold beyond the float range",
+     _edit(lambda t, p: p["threshold"].__setitem__(0, 10**400))),
+    ("forest", "stream id not of the header's seed", _edit(lambda t, p: p.update(stream_id="x"))),
+    ("forest", "stream id of another tree", _edit(lambda t, p: p.update(stream_id="0/1"))),
     ("forest", "not an object", lambda m: [1, 2]),
     ("forest", "not ASCII", lambda m: b"\xff\xfe"),
     ("density", "v1 format", lambda m: {**m, "format": "mondrian-density-v1"}),
@@ -530,6 +539,7 @@ MALFORMED_MODELS = [
     ("density", "height not finite", _edit(lambda t, p: t["values"].__setitem__(0, math.inf))),
     ("density", "log normalizer not finite", lambda m: {**m, "log_normalizer": math.nan}),
     ("density", "log normalizer a boolean", lambda m: {**m, "log_normalizer": False}),
+    ("density", "height a boolean", _edit(lambda t, p: t["values"].__setitem__(0, False))),
     ("density", "threshold outside its cell", _second_threshold_outside_its_cell),
     ("density", "tree 1 of 3 ends early",
      _in_tree(1, _edit(lambda t, p: p["split_dim"].pop()))),
@@ -560,6 +570,14 @@ MALFORMED_MESSAGES = {
     "huber delta a boolean": "loss delta must be a number, got True",
     "partition horizon a boolean": "horizon must be a number, got True",
     "log normalizer a boolean": "log_normalizer must be a number, got False",
+    "birth time a boolean": "birth_time must be a list of numbers, got bool",
+    "threshold a string": "threshold must be a list of numbers, got str",
+    "value a boolean": "values must be a list of numbers, got bool",
+    "value beyond the float range": "values holds a number beyond the float range",
+    "threshold beyond the float range": "threshold holds a number beyond the float range",
+    "stream id not of the header's seed": "tree 0 has stream id 'x', not 0/0 of seed 0",
+    "stream id of another tree": "tree 0 has stream id '0/1', not 0/0 of seed 0",
+    "height a boolean": "values must be a list of numbers, got bool",
 }
 
 

@@ -4,11 +4,12 @@ import gc
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mondrian_forest import (
     Cell,
@@ -26,6 +27,7 @@ from mondrian_forest import (
 import mondrian_forest.partition as partition_module
 from mondrian_forest.partition import (
     build_partitions,
+    group_forest,
     group_points,
     leaf_nodes,
     load_model,
@@ -251,6 +253,55 @@ def test_property_group_points_groups_the_leaf_ids(dimension, horizon, share, se
     assert np.array_equal(counts, np.bincount(ids, minlength=leaf_count_at(tree, lam)))
     for i in range(0, n, 7):
         assert ids[i] == locate_scan(tree, lam, xs[i])
+
+
+@pytest.mark.parametrize("budget", ["shipped", "tree per run", "mixed", "walk"])
+@settings(max_examples=30)
+@given(st.sampled_from([2, 3]), st.integers(1, 8), st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+       st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(10, 400), st.integers(0, 20))
+@example(dimension=2, tree_count=4, share=1.0, seed=1, n=0, grid_max=100, runs=3)
+def test_property_group_forest_is_the_walk(budget, dimension, tree_count, share, seed, n,
+                                           grid_max, runs):
+    # runs of trees as shipped; one tree per run; runs among walking trees,
+    # at budgets near these trees' own grids; every tree walking
+    patches = {"shipped": {}, "tree per run": {"GROUP_BATCH_ENTRIES": 0},
+               "mixed": {"GRID_MAX_ENTRIES": grid_max, "GROUP_BATCH_ENTRIES": runs * grid_max},
+               "walk": {"GRID_MAX_ENTRIES": 0}}[budget]
+    horizon = 6.0 / dimension
+    lam = share * horizon
+    trees = list(sample_forest(dimension, horizon, seed, tree_count))
+    # thresholds in use or not, the cube's faces and the last float below 1,
+    # and a third of the points twice
+    special = [0.0, np.nextafter(1.0, 0.0), 1.0] + [
+        t for tree in trees for t in tree.threshold[tree.split_dim >= 0]]
+    rng = np.random.default_rng(seed)
+    xs = np.where(rng.random((n, dimension)) < 0.5, rng.choice(special, (n, dimension)),
+                  rng.random((n, dimension)))
+    xs = np.concatenate((xs, xs[:n // 3]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition_module, "GRID_MAX_ENTRIES", 0)
+        walked = [group_points(tree, lam, xs) for tree in trees]
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in patches.items():
+            patch.setattr(partition_module, name, value)
+        grouped = list(group_forest(trees, lam, xs))
+    for (order, counts), (walk_order, walk_counts) in zip(grouped, walked, strict=True):
+        assert order.tobytes() == walk_order.tobytes()
+        assert counts.tobytes() == walk_counts.tobytes()
+
+
+def test_grouping_a_forest_holds_one_run_of_trees_at_a_time():
+    # regress-d2's shape; one slab grid for all 50 trees peaks near 11 MB
+    trees = list(sample_forest(2, 10.0, 0, 50))
+    xs = np.random.default_rng(7).random((50_000, 2))
+    tracemalloc.start()
+    try:
+        for _, counts in group_forest(trees, 10.0, xs):
+            assert counts.sum() == xs.shape[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_group_points_keeps_empty_leaves_and_empty_batches():
